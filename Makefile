@@ -1,10 +1,10 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all check build test test-short race bench bench-record bench-compare figures examples vet fmt
+.PHONY: all check build test test-short race bench bench-record bench-compare figures examples vet fmt fmt-check
 
 all: check
 
-check: build vet test
+check: fmt-check build vet test
 
 build:
 	go build ./...
@@ -14,6 +14,10 @@ vet:
 
 fmt:
 	gofmt -w .
+
+# Fails, listing the offenders, when any Go file is not gofmt-clean.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 test:
 	go test ./...

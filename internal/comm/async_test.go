@@ -36,10 +36,10 @@ func TestISendIRecvRoundTrip(t *testing.T) {
 			p.Recv(0, 7)
 			b := p.AcquireBuffer()
 			b.Int64(11)
-			p.ISendBuffer(0, 5, b).Wait()
+			p.SendBuffer(0, 5, b)
 			b = p.AcquireBuffer()
 			b.Int64(22)
-			p.ISendBuffer(0, 6, b).Wait()
+			p.SendBuffer(0, 6, b)
 		}
 		return nil
 	})
@@ -54,7 +54,7 @@ func TestISendIRecvRoundTrip(t *testing.T) {
 }
 
 // TestAsyncExchangeZeroAllocs: a steady-state post/complete cycle —
-// IRecv, ISend of a pooled buffer, Wait, release — allocates nothing.
+// IRecv, send of a pooled buffer, Wait, release — allocates nothing.
 // Handles are plain values; only the warm pooled buffers circulate.
 func TestAsyncExchangeZeroAllocs(t *testing.T) {
 	if raceEnabled {
@@ -67,7 +67,7 @@ func TestAsyncExchangeZeroAllocs(t *testing.T) {
 			h := p.IRecvBuffer(peer, 3)
 			b := p.AcquireBuffer()
 			b.Int64(int64(p.Rank()))
-			p.ISendBuffer(peer, 3, b).Wait()
+			p.SendBuffer(peer, 3, b)
 			got := h.Wait()
 			p.ReleaseBuffer(got)
 		}

@@ -104,12 +104,8 @@ func NewWorldTransport(p int, tr Transport) *World {
 		abortCh: make(chan struct{}),
 	}
 	w.growCounters()
-	if a, ok := tr.(AbortAware); ok {
-		a.SetAbort(w.abortCh)
-	}
-	if f, ok := tr.(Fabric); ok {
-		f.OnFail(w.failFabric)
-	}
+	tr.SetAbort(w.abortCh)
+	tr.OnFail(w.failFabric)
 	return w
 }
 
@@ -237,24 +233,22 @@ func AbortError(v any) error {
 }
 
 // abort marks the world failed and unblocks every receive and send
-// selecting on the abort channel. Idempotent. A fabric-backed world
-// also closes the fabric so remote peers observe the failure (as EOF
-// on their links) and abort in turn — without this, killing one worker
-// process would leave every other process blocked forever.
+// selecting on the abort channel. Idempotent. It also closes the
+// transport so remote peers observe the failure (as EOF on their
+// links) and abort in turn — without this, killing one worker process
+// would leave every other process blocked forever.
 func (w *World) abort() {
 	w.abortOnce.Do(func() {
 		close(w.abortCh)
-		if f, ok := w.tr.(Fabric); ok {
-			// Off the critical path: Close may be called from a fabric
-			// reader goroutine via OnFail → failFabric → abort, and
-			// must not deadlock against the fabric's own locks.
-			go f.Close()
-		}
+		// Off the critical path: Close may be called from a fabric
+		// reader goroutine via OnFail → failFabric → abort, and must
+		// not deadlock against the fabric's own locks.
+		go w.tr.Close()
 	})
 }
 
 // failFabric records the first fabric failure and aborts the world.
-// Registered as the Fabric.OnFail callback at construction.
+// Registered as the Transport.OnFail callback at construction.
 func (w *World) failFabric(err error) {
 	w.fabricMu.Lock()
 	if w.fabricErr == nil {
@@ -285,9 +279,9 @@ func (w *World) abortCause() error {
 
 // Run executes fn once per rank, each on its own goroutine, and waits
 // for all of them. When a rank's fn returns an error the world aborts:
-// peers blocked in receives unwind with ErrAborted (over an
-// AsyncTransport; a plain Transport cannot be interrupted) rather than
-// deadlocking the whole world on a protocol that lost a participant.
+// peers blocked in receives (and in sends on full links) unwind with
+// ErrAborted rather than deadlocking the whole world on a protocol
+// that lost a participant.
 // Run reports each failing rank through the world's logger and returns
 // every rank's error joined (nil when all ranks succeeded).
 func (w *World) Run(fn func(p *Proc) error) error {
@@ -516,17 +510,13 @@ func (p *Proc) SendBuffer(dst, tag int, b *Buffer) {
 }
 
 // recvMessage blocks until the next message on the (src → this rank)
-// link arrives. Over an AsyncTransport it selects on the world's abort
-// channel as well, so a rank stuck waiting on a failed peer unwinds
-// (via the abort sentinel, converted to ErrAborted in Run) instead of
-// deadlocking. The fast path — message already delivered — takes no
-// select at all and allocates nothing.
+// link arrives, selecting on the world's abort channel as well, so a
+// rank stuck waiting on a failed peer unwinds (via the abort sentinel,
+// converted to ErrAborted in Run) instead of deadlocking. The fast
+// path — message already delivered — takes no blocking select and
+// allocates nothing.
 func (p *Proc) recvMessage(src int) Message {
-	at, ok := p.world.tr.(AsyncTransport)
-	if !ok {
-		return p.world.tr.Recv(p.rank, src)
-	}
-	ch := at.RecvChan(p.rank, src)
+	ch := p.world.tr.RecvChan(p.rank, src)
 	select {
 	case m := <-ch:
 		return m
@@ -574,24 +564,6 @@ func (p *Proc) RecvBuffer(src, tag int) *Buffer {
 func (p *Proc) SendRecvBuffer(dst, sendTag int, b *Buffer, src, recvTag int) *Buffer {
 	p.SendBuffer(dst, sendTag, b)
 	return p.RecvBuffer(src, recvTag)
-}
-
-// SendHandle is the completion handle of a posted asynchronous send.
-// The channel transport completes sends at post time (the link buffer
-// absorbs them), so Wait returns immediately; the type exists so
-// callers are already shaped for a fabric where sends complete later.
-type SendHandle struct{}
-
-// Wait blocks until the send has completed.
-func (SendHandle) Wait() {}
-
-// ISendBuffer posts an asynchronous send of a pooled buffer and
-// returns its completion handle. Exactly like SendBuffer, the buffer
-// is handed off at the call: the caller must not touch it afterwards.
-// Messages and bytes are counted at post time under the tag's class.
-func (p *Proc) ISendBuffer(dst, tag int, b *Buffer) SendHandle {
-	p.SendBuffer(dst, tag, b)
-	return SendHandle{}
 }
 
 // RecvHandle is a posted receive: a claim on the next message of the

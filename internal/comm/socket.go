@@ -402,7 +402,7 @@ func (t *SocketTransport) error() error {
 	return ErrAborted
 }
 
-// OnFail implements Fabric. A callback registered after the fabric has
+// OnFail implements Transport. A callback registered after the fabric has
 // already failed fires immediately.
 func (t *SocketTransport) OnFail(f func(error)) {
 	t.failMu.Lock()
@@ -415,7 +415,7 @@ func (t *SocketTransport) OnFail(f func(error)) {
 	t.failMu.Unlock()
 }
 
-// Close implements Fabric: tear every connection down. Idempotent.
+// Close implements Transport: tear every connection down. Idempotent.
 // Remote peers observe the close as EOF on their side of each link.
 func (t *SocketTransport) Close() error {
 	t.closeOnce.Do(func() {
@@ -430,9 +430,14 @@ func (t *SocketTransport) Close() error {
 	return nil
 }
 
-// MarkStep implements StepMarker: subsequent frames carry this step in
+// MarkStep implements Transport: subsequent frames carry this step in
 // their headers.
 func (t *SocketTransport) MarkStep(step int) { t.step.Store(int32(step)) }
+
+// SetAbort implements Transport. The socket fabric needs no abort
+// channel: World.abort closes the fabric, which fails every blocked
+// write and unblocks a full self-link through closeCh.
+func (t *SocketTransport) SetAbort(<-chan struct{}) {}
 
 // Rank returns the local rank this transport serves.
 func (t *SocketTransport) Rank() int { return t.rank }
@@ -496,18 +501,7 @@ func (t *SocketTransport) Send(src, dst int, m Message) {
 	t.putBuf(m.Buf)
 }
 
-// Recv implements Transport (the blocking fallback; the World's
-// receive path uses RecvChan and its abort select instead).
-func (t *SocketTransport) Recv(dst, src int) Message {
-	select {
-	case m := <-t.inbox[src]:
-		return m
-	case <-t.closeCh:
-		panic(abortSignal{rank: dst, src: src, err: t.error()})
-	}
-}
-
-// RecvChan implements AsyncTransport: the inbox of one source rank.
+// RecvChan implements Transport: the inbox of one source rank.
 func (t *SocketTransport) RecvChan(dst, src int) <-chan Message {
 	return t.inbox[src]
 }

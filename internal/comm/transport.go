@@ -21,66 +21,40 @@ const tagLinkDown = -1 << 30
 // Transport moves messages between ranks. It is the seam that lets the
 // simulation stack swap the in-process channel runtime for a real
 // network fabric (sockets, RDMA, MPI) without touching any caller: the
-// World layers tag matching, per-class accounting, and buffer pooling
-// on top, so a Transport only has to deliver messages per (src, dst)
-// link in FIFO order.
+// World layers tag matching, per-class accounting, buffer pooling and
+// the abort protocol on top, so a Transport only has to deliver
+// messages per (src, dst) link in FIFO order.
 //
-// Send hands the message off; the sender must not touch m.Buf again
-// until it comes back through a pool. Recv blocks until the next
-// message on the (src → dst) link is available.
+// Wrappers (fault injection, latency injection, kill drills) embed a
+// Transport and override only the methods they change.
 type Transport interface {
+	// Send hands the message off; the sender must not touch m.Buf
+	// again until it comes back through a pool. A send blocked on a
+	// full link must unwind with the abort sentinel once the World
+	// aborts, which closes the SetAbort channel and calls Close.
 	Send(src, dst int, m Message)
-	Recv(dst, src int) Message
-}
-
-// AsyncTransport is the optional extension a Transport can implement
-// to support the non-blocking receive API (Proc.IRecvBuffer) and the
-// world's abort protocol. RecvChan exposes the delivery channel of one
-// (src → dst) link so a receiver can select on it together with the
-// abort signal instead of blocking unconditionally in Recv. Transports
-// without this extension still work — receives fall back to the
-// blocking Recv and cannot be interrupted by an abort.
-type AsyncTransport interface {
-	Transport
+	// RecvChan exposes the delivery channel of one (src → dst) link.
+	// The World selects on it together with its abort channel, so every
+	// receive is interruptible.
 	RecvChan(dst, src int) <-chan Message
-}
-
-// AbortAware is the optional extension a Transport can implement to
-// make blocked sends interruptible. The World injects its abort
-// channel at construction; a send that would otherwise block forever
-// on a full link after the receiver has failed selects on the channel
-// and unwinds with the abort sentinel instead (converted to ErrAborted
-// by Run's recover), closing the sender-side half of the abort
-// protocol — receivers have always selected on abortCh in recvMessage.
-type AbortAware interface {
-	SetAbort(<-chan struct{})
-}
-
-// StepMarker is the optional extension a transport can implement to
-// receive the simulation step counter. The socket transport stamps it
-// into every frame header so captures of a broken stream carry the
-// step they broke at; the step loop calls MarkStep when the configured
-// transport implements it.
-type StepMarker interface {
-	MarkStep(step int)
-}
-
-// Fabric is a transport backed by external resources — connections,
-// file descriptors, reader goroutines — that can fail asynchronously
-// and must be torn down explicitly. The World registers OnFail so a
-// fabric failure (peer disconnect, malformed frame, I/O error) aborts
-// every local rank, and closes the fabric when it aborts so remote
-// peers observe the failure as EOF and abort their own worlds in turn:
-// that chain is how a killed worker unwinds all survivors.
-type Fabric interface {
-	AsyncTransport
-	// OnFail registers a callback invoked once with the first fabric
-	// error; if the fabric has already failed the callback fires
-	// immediately.
+	// SetAbort injects the World's abort channel; called once at world
+	// construction, before any Send.
+	SetAbort(abort <-chan struct{})
+	// OnFail registers a callback invoked once with the first
+	// asynchronous fabric failure (peer disconnect, malformed frame,
+	// I/O error); if the fabric has already failed it fires
+	// immediately. The World registers its abort here.
 	OnFail(func(error))
-	// Close tears the fabric down. Idempotent; safe to call
-	// concurrently with operations, which then fail.
+	// Close tears the transport down. The World closes it when it
+	// aborts, so remote peers observe the failure as EOF and abort
+	// their own worlds in turn: that chain is how a killed worker
+	// unwinds all survivors. Idempotent; safe to call concurrently with
+	// operations, which then fail.
 	Close() error
+	// MarkStep receives the simulation step counter. The socket
+	// transport stamps it into every frame header so captures of a
+	// broken stream carry the step they broke at.
+	MarkStep(step int)
 }
 
 // chanTransport is the default in-process Transport: ranks are
@@ -110,8 +84,13 @@ func NewChanTransport(p int) Transport {
 	return t
 }
 
-// SetAbort implements AbortAware.
 func (t *chanTransport) SetAbort(ch <-chan struct{}) { t.abort = ch }
+
+// OnFail, Close and MarkStep are no-ops: in-process links cannot fail
+// asynchronously, hold no external resources, and carry no headers.
+func (t *chanTransport) OnFail(func(error)) {}
+func (t *chanTransport) Close() error       { return nil }
+func (t *chanTransport) MarkStep(int)       {}
 
 func (t *chanTransport) Send(src, dst int, m Message) {
 	// Fast path: the link buffer has room (the steady state — exchange
@@ -121,10 +100,8 @@ func (t *chanTransport) Send(src, dst int, m Message) {
 		return
 	default:
 	}
-	if t.abort == nil {
-		t.links[src][dst] <- m
-		return
-	}
+	// Before SetAbort the abort channel is nil, and a nil channel
+	// never selects: the send simply blocks.
 	select {
 	case t.links[src][dst] <- m:
 	case <-t.abort:
@@ -132,11 +109,6 @@ func (t *chanTransport) Send(src, dst int, m Message) {
 	}
 }
 
-func (t *chanTransport) Recv(dst, src int) Message {
-	return <-t.links[src][dst]
-}
-
-// RecvChan implements AsyncTransport: the (src → dst) link channel.
 func (t *chanTransport) RecvChan(dst, src int) <-chan Message {
 	return t.links[src][dst]
 }

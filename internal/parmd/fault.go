@@ -13,10 +13,11 @@ import (
 // being a whole number of wire records — the fault the typed-error
 // paths must turn into a *RankError instead of a process-killing
 // panic, and the injection seam behind scmd's -fault flag for
-// exercising the postmortem pipeline on demand. It forwards RecvChan,
-// keeping the world's abort protocol able to unblock healthy ranks.
+// exercising the postmortem pipeline on demand. Every other method is
+// the embedded transport's, so the world's abort protocol still
+// unblocks healthy ranks.
 type FaultTransport struct {
-	comm.AsyncTransport
+	comm.Transport
 	lo, hi int
 	after  int64
 	n      atomic.Int64
@@ -46,18 +47,9 @@ func NewFaultTransport(ranks int, class string, after int) (*FaultTransport, err
 		return nil, fmt.Errorf("parmd: unknown fault class %q (want migrate, halo, force, health, or balance)", class)
 	}
 	return &FaultTransport{
-		AsyncTransport: comm.NewChanTransport(ranks).(comm.AsyncTransport),
-		lo:             r[0], hi: r[1], after: int64(after),
+		Transport: comm.NewChanTransport(ranks),
+		lo:        r[0], hi: r[1], after: int64(after),
 	}, nil
-}
-
-// SetAbort forwards the world's abort channel to the wrapped channel
-// transport so blocked sends stay interruptible under injection (the
-// interface-typed embed does not promote the extension).
-func (t *FaultTransport) SetAbort(ch <-chan struct{}) {
-	if a, ok := t.AsyncTransport.(comm.AbortAware); ok {
-		a.SetAbort(ch)
-	}
 }
 
 // Send forwards the message, appending 8 garbage bytes (no wire record
@@ -66,7 +58,7 @@ func (t *FaultTransport) Send(src, dst int, m comm.Message) {
 	if m.Tag >= t.lo && m.Tag < t.hi && (t.Dst == nil || t.Dst(dst)) && t.n.Add(1) > t.after {
 		m.Buf.Int64(0x0BAD)
 	}
-	t.AsyncTransport.Send(src, dst, m)
+	t.Transport.Send(src, dst, m)
 }
 
 // DelayTransport wraps the in-process channel transport and stalls the
@@ -76,7 +68,7 @@ func (t *FaultTransport) Send(src, dst int, m comm.Message) {
 // reports how many class messages passed, so a caller can calibrate
 // the window in messages-per-step with a clean dry run first.
 type DelayTransport struct {
-	comm.AsyncTransport
+	comm.Transport
 	lo, hi       int
 	after, count int64
 	delay        time.Duration
@@ -93,18 +85,10 @@ func NewDelayTransport(ranks int, class string, after, count int, delay time.Dur
 		return nil, fmt.Errorf("parmd: unknown fault class %q (want migrate, halo, force, health, or balance)", class)
 	}
 	return &DelayTransport{
-		AsyncTransport: comm.NewChanTransport(ranks).(comm.AsyncTransport),
-		lo:             r[0], hi: r[1],
+		Transport: comm.NewChanTransport(ranks),
+		lo:        r[0], hi: r[1],
 		after: int64(after), count: int64(count), delay: delay,
 	}, nil
-}
-
-// SetAbort forwards the world's abort channel to the wrapped channel
-// transport, exactly like FaultTransport.SetAbort.
-func (t *DelayTransport) SetAbort(ch <-chan struct{}) {
-	if a, ok := t.AsyncTransport.(comm.AbortAware); ok {
-		a.SetAbort(ch)
-	}
 }
 
 // Matched returns how many messages of the target class have been
@@ -118,5 +102,5 @@ func (t *DelayTransport) Send(src, dst int, m comm.Message) {
 			time.Sleep(t.delay)
 		}
 	}
-	t.AsyncTransport.Send(src, dst, m)
+	t.Transport.Send(src, dst, m)
 }

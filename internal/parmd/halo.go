@@ -96,7 +96,7 @@ func (r *rankState) postHaloSend(pi int) {
 		st.sentSum = health.Checksum64(buf.Bytes())
 	}
 	r.rec.FlowSend(ph.Tag)
-	r.p.ISendBuffer(ph.SendPeer, ph.Tag, buf)
+	r.p.SendBuffer(ph.SendPeer, ph.Tag, buf)
 }
 
 // finishHalo completes the posted receives in phase order: wait for

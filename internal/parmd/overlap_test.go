@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"log/slog"
+	"slices"
 	"strings"
 	"testing"
 
@@ -87,6 +88,68 @@ func TestOverlapPhasesRecorded(t *testing.T) {
 	}
 	if f := res.OverlapFraction(); !(f > 0 && f <= 1) {
 		t.Errorf("overlap fraction %g, want in (0, 1]", f)
+	}
+}
+
+// TestOverlapSpanOrder pins the overlap mechanism deterministically,
+// from the order in which each rank's spans complete rather than from
+// wall-clock wait times: per rank and step, the overlapped exchange
+// posts its first halo send (the beginHalo "halo" span), then runs
+// force:interior, and only then blocks in halo:wait, so the interior
+// stage is the work that hides the receive latency. Under NoOverlap
+// every halo:wait completes before force:interior starts.
+func TestOverlapSpanOrder(t *testing.T) {
+	cfg, model := silicaConfig(t, 4, 300, 42)
+	cart, _ := comm.NewCartDims(geom.IV(2, 2, 2))
+	const steps = 2
+	for _, scheme := range Schemes() {
+		for _, noOverlap := range []bool{false, true} {
+			rec := obs.NewRecorder(cart.Size(), 1024)
+			_, err := Run(cfg, model, Options{
+				Scheme: scheme, Cart: cart, Dt: 1, Steps: steps,
+				NoOverlap: noOverlap, Recorder: rec,
+			})
+			if err != nil {
+				t.Fatalf("%v noOverlap=%v: %v", scheme, noOverlap, err)
+			}
+			// order[rank][step] lists the step's span names in
+			// completion order (the recorder's ring order).
+			order := map[[2]int][]string{}
+			for _, ev := range rec.Events() {
+				if ev.Ph != "X" {
+					continue
+				}
+				key := [2]int{ev.Tid, ev.Args["step"].(int)}
+				order[key] = append(order[key], ev.Name)
+			}
+			for rank := 0; rank < cart.Size(); rank++ {
+				for step := -1; step < steps; step++ { // -1: the initial evaluation
+					names := order[[2]int{rank, step}]
+					post := slices.Index(names, "halo")
+					interior := slices.Index(names, "force:interior")
+					firstWait := slices.Index(names, "halo:wait")
+					if post < 0 || interior < 0 || firstWait < 0 {
+						t.Fatalf("%v noOverlap=%v rank %d step %d: missing spans in %v",
+							scheme, noOverlap, rank, step, names)
+					}
+					if noOverlap {
+						lastWait := firstWait
+						for i, name := range names {
+							if name == "halo:wait" {
+								lastWait = i
+							}
+						}
+						if !(post < firstWait && lastWait < interior) {
+							t.Errorf("%v sync rank %d step %d: want halo < all halo:wait < force:interior, got %v",
+								scheme, rank, step, names)
+						}
+					} else if !(post < interior && interior < firstWait) {
+						t.Errorf("%v overlapped rank %d step %d: want halo < force:interior < halo:wait, got %v",
+							scheme, rank, step, names)
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -222,6 +285,70 @@ func TestAbortPropagatesToHealthyRanks(t *testing.T) {
 	}
 }
 
+// TestAbortReachesThroughWrappers: FaultTransport and DelayTransport
+// inherit SetAbort and RecvChan from the transport they embed, so a
+// world over either one keeps the abort protocol intact. Rank 0 fails
+// at once; rank 1, blocked receiving from it, and rank 2, sending to
+// it until the link is full, must both unwind with ErrAborted.
+func TestAbortReachesThroughWrappers(t *testing.T) {
+	const ranks = 3
+	ft, err := NewFaultTransport(ranks, "halo", 1<<30) // never corrupts
+	if err != nil {
+		t.Fatal(err)
+	}
+	dt, err := NewDelayTransport(ranks, "halo", 0, 0, 0) // never delays
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		tr   comm.Transport
+		sent func() int64 // halo messages that went through the wrapper
+	}{
+		{"fault", ft, ft.n.Load},
+		{"delay", dt, dt.Matched},
+	}
+	for _, c := range cases {
+		errs := make([]error, ranks)
+		runErr := comm.NewWorldTransport(ranks, c.tr).Run(func(p *comm.Proc) (err error) {
+			defer func() {
+				if rec := recover(); rec != nil {
+					if !comm.IsAbort(rec) {
+						panic(rec)
+					}
+					err = comm.AbortError(rec)
+				}
+				errs[p.Rank()] = err
+			}()
+			switch p.Rank() {
+			case 0:
+				return errors.New("boom")
+			case 1:
+				p.RecvBuffer(0, tagHalo) // never sent
+				return errors.New("receive from a failed rank returned")
+			default:
+				// Far more than any link buffers: the send must block on
+				// the full link and be unwound by the abort.
+				for i := 0; i < 1<<16; i++ {
+					p.SendBuffer(0, tagHalo, p.AcquireBuffer())
+				}
+				return errors.New("sends to a failed rank never blocked")
+			}
+		})
+		if runErr == nil {
+			t.Errorf("%s: world with a failed rank returned nil", c.name)
+		}
+		for rank := 1; rank < ranks; rank++ {
+			if !errors.Is(errs[rank], comm.ErrAborted) {
+				t.Errorf("%s: rank %d did not unwind via abort: %v", c.name, rank, errs[rank])
+			}
+		}
+		if c.sent() == 0 {
+			t.Errorf("%s: no halo message went through the wrapper", c.name)
+		}
+	}
+}
+
 // TestHopDirOverflowIsRunError: the migration path's impossible-hop
 // condition (an atom crossing a whole block in one step — a blown-up
 // integration) surfaces as a typed migrate error from Run, not a
@@ -256,4 +383,3 @@ func TestHopDirOverflowIsRunError(t *testing.T) {
 		t.Errorf("no typed migrate/halo error in %v", err)
 	}
 }
-

@@ -190,21 +190,23 @@ func Run(cfg *workload.Config, model *potential.Model, opt Options) (*Result, er
 		}
 	}
 
+	tr := opt.Transport
 	var world *comm.World
 	switch {
 	case opt.Worker != nil:
-		if opt.Transport == nil {
+		if tr == nil {
 			return nil, fmt.Errorf("parmd: Worker mode requires an explicit Transport")
 		}
 		if opt.Worker.Rank < 0 || opt.Worker.Rank >= opt.Cart.Size() {
 			return nil, fmt.Errorf("parmd: worker rank %d outside topology of %d ranks",
 				opt.Worker.Rank, opt.Cart.Size())
 		}
-		world = comm.NewWorldRank(opt.Cart.Size(), opt.Worker.Rank, opt.Transport)
-	case opt.Transport != nil:
-		world = comm.NewWorldTransport(opt.Cart.Size(), opt.Transport)
+		world = comm.NewWorldRank(opt.Cart.Size(), opt.Worker.Rank, tr)
 	default:
-		world = comm.NewWorld(opt.Cart.Size())
+		if tr == nil {
+			tr = comm.NewChanTransport(opt.Cart.Size())
+		}
+		world = comm.NewWorldTransport(opt.Cart.Size(), tr)
 	}
 	defineTagClasses(world)
 	world.SetLogger(opt.Log)
@@ -296,12 +298,6 @@ func Run(cfg *workload.Config, model *potential.Model, opt Options) (*Result, er
 			r.prewarmParity(cfg.N())
 		}
 
-		// The socket fabric stamps outgoing frames with the current
-		// step so wire captures and failure reports carry simulation
-		// time; the channel transport doesn't implement the marker, so
-		// the per-step branch below is a nil check in-process.
-		marker, _ := opt.Transport.(comm.StepMarker)
-
 		var mallocs0 uint64
 		if opt.MeasureAllocs && opt.Steps > 0 {
 			p.Barrier()
@@ -320,9 +316,9 @@ func Run(cfg *workload.Config, model *potential.Model, opt Options) (*Result, er
 			}
 			r.rec.SetStep(step)
 			r.curStep = step
-			if marker != nil {
-				marker.MarkStep(step)
-			}
+			// The socket fabric stamps outgoing frames with the step so
+			// wire captures and failure reports carry simulation time.
+			tr.MarkStep(step)
 			r.healthStep = opt.Health.Due(step)
 			// Velocity Verlet: half kick, drift, migrate, forces,
 			// half kick.

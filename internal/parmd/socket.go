@@ -85,7 +85,7 @@ func runSocketWorlds(cfg *workload.Config, model *potential.Model, opt Options, 
 			transports[rank] = tr
 			o := opt
 			o.Worker = &WorkerRank{Rank: rank}
-			o.Transport = comm.Transport(tr)
+			o.Transport = tr
 			if wrap != nil {
 				o.Transport = wrap(rank, tr)
 			}
