@@ -420,74 +420,71 @@ func runParallel(cfg *workload.Config, model *potential.Model, engineName string
 	if tel.balance {
 		popt.Balance = &parmd.Balancer{Every: tel.balanceEvery, Threshold: tel.balanceThreshold}
 	}
+	if tel.trace != "" {
+		// ~16 spans per step per rank; keep the whole run in the rings.
+		popt.Recorder = obs.NewRecorder(ranks, 16*(steps+2))
+	}
+	// The registry, the recorder and the step writer are built here, in
+	// one place. -metrics writes the step records and a final registry
+	// snapshot to a file. The flight recorder is the in-memory black box
+	// behind -serve's /history and /anomalies, the -postmortem bundle,
+	// and -model-check's residual detector; it rides the same step
+	// records as an in-process sink, so attaching it costs no
+	// allocation per step. -serve also streams the encoded records to
+	// live /steps subscribers.
+	flightOn := tel.serve != "" || tel.postmortem != "" || tel.modelCheck
+	var metricsFile *os.File
+	var tee *obs.StepTee
+	if tel.metrics != "" || flightOn {
+		popt.Metrics = obs.NewRegistry()
+		if popt.Recorder == nil {
+			// Phase totals cover the whole run regardless of ring depth;
+			// a flight-recorded run keeps enough ring for /trace and the
+			// postmortem bundle to show the last ~256 steps.
+			ring := 16
+			if flightOn {
+				ring = 16 * 256
+			}
+			popt.Recorder = obs.NewRecorder(ranks, ring)
+		}
+		// The file sink must be an untyped nil when no file is open — a
+		// typed-nil *os.File would make the writer treat every step as a
+		// file write.
+		var sink io.Writer
+		if tel.metrics != "" {
+			f, err := os.Create(tel.metrics)
+			if err != nil {
+				return err
+			}
+			defer f.Close()
+			metricsFile, sink = f, f
+		}
+		if tel.serve != "" {
+			tee = obs.NewStepTee()
+		}
+		popt.StepLog = obs.NewStepWriterTee(sink, tee)
+	}
 	if tel.healthEvery > 0 || tel.parityEvery > 0 {
 		every := tel.healthEvery
 		if every <= 0 {
 			every = tel.parityEvery
 		}
-		hcfg := health.Config{Every: every, ParityEvery: tel.parityEvery, Logger: tel.log}
+		hcfg := health.Config{Every: every, ParityEvery: tel.parityEvery, Logger: tel.log, Registry: popt.Metrics}
 		if tel.abortOnFail {
 			hcfg.OnFail = health.ActionRecord | health.ActionLog | health.ActionAbort
 		}
 		popt.Health = health.New(hcfg)
-	}
-	if tel.trace != "" {
-		// ~16 spans per step per rank; keep the whole run in the rings.
-		popt.Recorder = obs.NewRecorder(ranks, 16*(steps+2))
-	}
-	var metricsFile *os.File
-	if tel.metrics != "" {
-		f, err := os.Create(tel.metrics)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		metricsFile = f
-		popt.StepLog = obs.NewStepWriter(f)
-		popt.Metrics = obs.NewRegistry()
-		if popt.Recorder == nil {
-			// Phase decomposition in the step records and registry even
-			// without a trace file; a small ring is enough for totals.
-			popt.Recorder = obs.NewRecorder(ranks, 16)
-		}
 	}
 	info := map[string]string{
 		"model": model.Name, "engine": engineName,
 		"ranks": strconv.Itoa(ranks), "workers": strconv.Itoa(workers),
 		"atoms": strconv.Itoa(cfg.N()), "steps": strconv.Itoa(steps),
 	}
-
-	// The flight recorder is the in-memory black box behind -serve's
-	// /history and /anomalies, the -postmortem bundle, and
-	// -model-check's residual detector. It rides the step-record line
-	// as an in-process sink, so attaching it costs no allocation per
-	// step.
 	var fl *flight.Recorder
-	var tee *obs.StepTee
-	if tel.serve != "" || tel.postmortem != "" || tel.modelCheck {
-		if popt.Metrics == nil {
-			popt.Metrics = obs.NewRegistry()
-		}
-		if popt.Recorder == nil {
-			// Enough ring for /trace to show the last ~256 steps; phase
-			// totals cover the whole run regardless of ring depth.
-			popt.Recorder = obs.NewRecorder(ranks, 16*256)
-		}
-		if tel.serve != "" {
-			tee = obs.NewStepTee()
-		}
+	if flightOn {
 		fl = flight.New(flight.Config{
 			Ranks: ranks, Registry: popt.Metrics, Tee: tee, Health: popt.Health,
 		})
-		// The same encoded step records go to the -metrics file (when
-		// set) and to live /steps subscribers. The sink must be an
-		// untyped nil when no file is open — a typed-nil *os.File would
-		// make the writer treat every step as a file write.
-		var sink io.Writer
-		if metricsFile != nil {
-			sink = metricsFile
-		}
-		popt.StepLog = obs.NewStepWriterTee(sink, tee)
 		popt.StepLog.SetSink(fl)
 	}
 	if tel.modelCheck {

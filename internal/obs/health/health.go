@@ -363,12 +363,9 @@ func (m *Monitor) observe(probe string, step, rank int, value, warnTh, failTh fl
 		st.worst = value
 	}
 	st.last, st.lastStep, st.lastSevere = value, step, sev
-	armed := false
 	if sev == Fail && actions&ActionAbort != 0 && m.abort == nil {
 		m.abort = &FailError{Probe: probe, Step: step, Rank: rank, Value: value, Threshold: failTh}
-		armed = true
 	}
-	_ = armed
 	m.mu.Unlock()
 
 	if actions&ActionRecord != 0 && m.cfg.Registry != nil {

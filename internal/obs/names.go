@@ -14,10 +14,12 @@ import "strings"
 //     middle segments lifted into labels
 //     (comm_bytes{class="halo"}, phase_max_ms{phase="halo:wait"}).
 //
-// Emitters (parmd's publishMetrics and step records, health's
-// registry export) and the exposition renderer in obs/serve all go
-// through these helpers, and a consistency test in package parmd
-// pins the round trip, so the three surfaces cannot drift apart.
+// Emitters (parmd's per-rank observer, which folds every observation
+// into the registry and builds the step records from the same delta;
+// health's registry export) and the exposition renderer in obs/serve
+// all go through these helpers, and a consistency test in package
+// parmd pins the round trip on the registry a real run fills, so the
+// three surfaces cannot drift apart.
 
 // PromName maps a dotted registry name to a valid Prometheus metric
 // name: every character outside [a-zA-Z0-9_] becomes '_' (dots and

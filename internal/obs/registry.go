@@ -19,13 +19,6 @@ func (c *Counter) Add(d int64) { c.v.Add(d) }
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Store overwrites the counter with an exact value — the end-of-run
-// reconciliation primitive: a run that published approximate per-step
-// deltas live replaces them with the authoritative total, idempotently
-// (a second Store of the same total is a no-op), without double
-// counting the live adds.
-func (c *Counter) Store(v int64) { c.v.Store(v) }
-
 // Load returns the current value.
 func (c *Counter) Load() int64 { return c.v.Load() }
 

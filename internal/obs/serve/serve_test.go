@@ -202,7 +202,7 @@ func TestStepsBadBuf(t *testing.T) {
 
 func TestHealthzStepFields(t *testing.T) {
 	reg := obs.NewRegistry()
-	reg.Counter("parmd.steps").Store(42)
+	reg.Counter("parmd.steps").Add(42)
 	s := &Server{Registry: reg, Info: map[string]string{"steps": "100"}}
 	var resp healthzResponse
 	if err := json.Unmarshal(get(t, s, "/healthz").Body.Bytes(), &resp); err != nil {

@@ -16,10 +16,10 @@ import (
 func watchServer(t *testing.T) (*Server, string) {
 	t.Helper()
 	reg := obs.NewRegistry()
-	reg.Counter("parmd.steps").Store(12)
-	reg.Counter("parmd.repartitions").Store(1)
-	reg.Counter(obs.CommClassMetric("halo", "bytes")).Store(4096)
-	reg.Counter(obs.CommClassMetric("halo", "messages")).Store(8)
+	reg.Counter("parmd.steps").Add(12)
+	reg.Counter("parmd.repartitions").Add(1)
+	reg.Counter(obs.CommClassMetric("halo", "bytes")).Add(4096)
+	reg.Counter(obs.CommClassMetric("halo", "messages")).Add(8)
 
 	rec := obs.NewRecorder(2, 64)
 	for rank := 0; rank < 2; rank++ {

@@ -76,20 +76,12 @@ func (s *StepWriter) SetSink(sink StepSink) {
 
 // Active reports whether a write would go anywhere: a file sink is
 // configured, an in-process sink is attached, or a live subscriber is
-// attached to the tee. Emitters that maintain per-step delta state
-// check it each step and skip record construction while it is false —
-// the deltas still advance, so a subscriber that joins mid-run sees
-// per-step values from its first full step, not cumulative totals.
+// attached to the tee. Emitters check it each step and skip record
+// construction while it is false; their per-step deltas are derived
+// either way, so a subscriber that joins mid-run sees per-step values
+// from its first full step, not cumulative totals.
 func (s *StepWriter) Active() bool {
 	return s != nil && (s.w != nil || s.sink != nil || s.tee.Active())
-}
-
-// Tee returns the writer's live tee (nil when none is attached).
-func (s *StepWriter) Tee() *StepTee {
-	if s == nil {
-		return nil
-	}
-	return s.tee
 }
 
 // WriteStep appends one step record line. The in-process sink, when

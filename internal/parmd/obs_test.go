@@ -190,98 +190,145 @@ type stepRecordJSON struct {
 	Counters map[string]int64 `json:"counters"`
 }
 
-// TestStepRecordsAndRegistryConsistency: the per-step JSONL stream is
-// internally consistent (every line parses; per-step phase time fits
-// inside the step's wall time) and the registry's published counters
-// match the run's own RankStats and per-class comm totals.
+// TestStepRecordsAndRegistryConsistency: for every scheme, the
+// per-step JSONL stream is internally consistent (every line parses;
+// per-step phase time fits inside the step's wall time), and the
+// registry the rank observers fed ends exactly at the run's own
+// totals — every RankStats counter and every comm class's bytes,
+// messages and receive wait. MeasureAllocs adds barriers before the
+// first step and after the last, so a missing setup or post-loop
+// observation shows up as a collective-traffic mismatch. The
+// deterministic counters must not depend on whether a step log is
+// attached.
 func TestStepRecordsAndRegistryConsistency(t *testing.T) {
 	cfg, model := silicaConfig(t, 4, 300, 33)
 	cart, _ := comm.NewCartDims(geom.IV(2, 1, 1))
 	const steps = 3
 
-	var buf bytes.Buffer
-	reg := obs.NewRegistry()
-	res, err := Run(cfg, model, Options{
-		Scheme: SchemeSC, Cart: cart, Dt: 1, Steps: steps,
-		Recorder: obs.NewRecorder(cart.Size(), 256),
-		StepLog:  obs.NewStepWriter(&buf),
-		Metrics:  reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	lines := bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte("\n"))
-	if want := cart.Size() * steps; len(lines) != want {
-		t.Fatalf("%d JSONL lines, want %d (ranks × steps)", len(lines), want)
-	}
-	perRank := map[int]map[string]int64{}
-	for _, line := range lines {
-		var rec stepRecordJSON
-		if err := json.Unmarshal(line, &rec); err != nil {
-			t.Fatalf("bad JSONL line %q: %v", line, err)
-		}
-		if rec.WallNs <= 0 {
-			t.Errorf("rank %d step %d: wall %d ns", rec.Rank, rec.Step, rec.WallNs)
-		}
-		var phaseSum int64
-		for _, ns := range rec.PhaseNs {
-			phaseSum += ns
-		}
-		if phaseSum > rec.WallNs {
-			t.Errorf("rank %d step %d: phase sum %d ns exceeds wall %d ns",
-				rec.Rank, rec.Step, phaseSum, rec.WallNs)
-		}
-		if perRank[rec.Rank] == nil {
-			perRank[rec.Rank] = map[string]int64{}
-		}
-		for k, v := range rec.Counters {
-			if k == "owned_atoms" || k == "comm_wait_ns" {
-				continue // absolute / runtime values, not step deltas
+	for _, scheme := range Schemes() {
+		run := func(stepLog *obs.StepWriter) (*Result, obs.Snapshot) {
+			reg := obs.NewRegistry()
+			res, err := Run(cfg, model, Options{
+				Scheme: scheme, Cart: cart, Dt: 1, Steps: steps, MeasureAllocs: true,
+				Recorder: obs.NewRecorder(cart.Size(), 256),
+				StepLog:  stepLog,
+				Metrics:  reg,
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-			perRank[rec.Rank][k] += v
+			return res, reg.Snapshot()
 		}
-	}
-	// Summed step deltas reproduce the cumulative RankStats, minus the
-	// initial force evaluation the loop's records never cover.
-	for rank, sums := range perRank {
-		rs := res.RankStats[rank]
-		if got, want := sums["steps"], int64(rs.Steps-1); got != want {
-			t.Errorf("rank %d: step records sum to %d steps, stats say %d", rank, got, want)
-		}
-		if sums["tuples_evaluated"] >= rs.TuplesEvaluated {
-			t.Errorf("rank %d: step deltas %d should exclude the initial evaluation (total %d)",
-				rank, sums["tuples_evaluated"], rs.TuplesEvaluated)
-		}
-	}
+		var buf bytes.Buffer
+		res, snap := run(obs.NewStepWriter(&buf))
+		_, quiet := run(nil)
 
-	snap := reg.Snapshot()
-	var tuples int64
-	for _, rs := range res.RankStats {
-		tuples += rs.TuplesEvaluated
-	}
-	if got := snap.Counters["parmd.tuples_evaluated"]; got != tuples {
-		t.Errorf("registry parmd.tuples_evaluated = %d, RankStats sum %d", got, tuples)
-	}
-	if got, want := snap.Counters["comm.halo.bytes"], res.CommByClass["halo"].Bytes; got != want {
-		t.Errorf("registry comm.halo.bytes = %d, run counted %d", got, want)
-	}
-	if got, want := snap.Counters["comm.halo.wait_ns"], res.CommByClass["halo"].Wait.Nanoseconds(); got != want {
-		t.Errorf("registry comm.halo.wait_ns = %d, run counted %d", got, want)
-	}
-	if got := snap.Gauges["parmd.ranks"]; got != float64(cart.Size()) {
-		t.Errorf("registry parmd.ranks = %g, want %d", got, cart.Size())
-	}
-	hist, ok := snap.Histograms["parmd.step_ms"]
-	if !ok {
-		t.Fatal("registry has no parmd.step_ms histogram")
-	}
-	if hist.Count != int64(cart.Size()*steps) {
-		t.Errorf("parmd.step_ms count = %d, want %d", hist.Count, cart.Size()*steps)
-	}
-	cp, ok := snap.Gauges["phase.critical_path_fraction"]
-	if !ok || cp <= 0 || cp > 1 {
-		t.Errorf("phase.critical_path_fraction = %g (present=%v), want in (0, 1]", cp, ok)
+		lines := bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte("\n"))
+		if want := cart.Size() * steps; len(lines) != want {
+			t.Fatalf("%v: %d JSONL lines, want %d (ranks × steps)", scheme, len(lines), want)
+		}
+		perRank := map[int]map[string]int64{}
+		for _, line := range lines {
+			var rec stepRecordJSON
+			if err := json.Unmarshal(line, &rec); err != nil {
+				t.Fatalf("%v: bad JSONL line %q: %v", scheme, line, err)
+			}
+			if rec.WallNs <= 0 {
+				t.Errorf("%v rank %d step %d: wall %d ns", scheme, rec.Rank, rec.Step, rec.WallNs)
+			}
+			var phaseSum int64
+			for _, ns := range rec.PhaseNs {
+				phaseSum += ns
+			}
+			if phaseSum > rec.WallNs {
+				t.Errorf("%v rank %d step %d: phase sum %d ns exceeds wall %d ns",
+					scheme, rec.Rank, rec.Step, phaseSum, rec.WallNs)
+			}
+			if perRank[rec.Rank] == nil {
+				perRank[rec.Rank] = map[string]int64{}
+			}
+			for k, v := range rec.Counters {
+				if k == "owned_atoms" || k == "comm_wait_ns" {
+					continue // absolute / runtime values, not step deltas
+				}
+				perRank[rec.Rank][k] += v
+			}
+		}
+		// Summed step deltas reproduce the cumulative RankStats, minus the
+		// initial force evaluation the loop's records never cover.
+		for rank, sums := range perRank {
+			rs := res.RankStats[rank]
+			if got, want := sums["steps"], int64(rs.Steps-1); got != want {
+				t.Errorf("%v rank %d: step records sum to %d steps, stats say %d", scheme, rank, got, want)
+			}
+			if sums["tuples_evaluated"] >= rs.TuplesEvaluated {
+				t.Errorf("%v rank %d: step deltas %d should exclude the initial evaluation (total %d)",
+					scheme, rank, sums["tuples_evaluated"], rs.TuplesEvaluated)
+			}
+		}
+
+		// The registry ends at the Result's totals, field by field and
+		// class by class. steps is the run-global count (every rank
+		// evaluates the same number of times); virial is a gauge.
+		for _, f := range rankStatFields {
+			var want float64
+			for i := range res.RankStats {
+				if f.Name == "steps" {
+					want = max(want, f.Get(&res.RankStats[i]))
+				} else {
+					want += f.Get(&res.RankStats[i])
+				}
+			}
+			got := float64(snap.Counters["parmd."+f.Name])
+			if f.Name == "virial" {
+				got = snap.Gauges["parmd.virial"]
+			}
+			if got != want {
+				t.Errorf("%v: registry parmd.%s = %g, Result totals %g", scheme, f.Name, got, want)
+			}
+		}
+		for class, cs := range res.CommByClass {
+			for field, want := range map[string]int64{
+				"bytes": cs.Bytes, "messages": cs.Messages, "wait_ns": cs.Wait.Nanoseconds(),
+			} {
+				name := obs.CommClassMetric(class, field)
+				if got, ok := snap.Counters[name]; !ok || got != want {
+					t.Errorf("%v: registry %s = %d (present=%v), run counted %d", scheme, name, got, ok, want)
+				}
+			}
+		}
+		if res.CommByClass["collective"].Messages == 0 {
+			t.Errorf("%v: no collective traffic; the post-loop barriers went unmetered", scheme)
+		}
+
+		// Counters that count work, not time, are identical with and
+		// without a step log: the log subscribes, it does not observe.
+		for name, got := range snap.Counters {
+			if strings.HasSuffix(name, "wait_ns") || name == "parmd.force_ns" {
+				continue
+			}
+			if want := quiet.Counters[name]; got != want {
+				t.Errorf("%v: %s = %d with a step log, %d without", scheme, name, got, want)
+			}
+		}
+		if len(quiet.Counters) != len(snap.Counters) {
+			t.Errorf("%v: %d counters without a step log, %d with", scheme, len(quiet.Counters), len(snap.Counters))
+		}
+
+		if got := snap.Gauges["parmd.ranks"]; got != float64(cart.Size()) {
+			t.Errorf("%v: registry parmd.ranks = %g, want %d", scheme, got, cart.Size())
+		}
+		hist, ok := snap.Histograms["parmd.step_ms"]
+		if !ok {
+			t.Fatalf("%v: registry has no parmd.step_ms histogram", scheme)
+		}
+		if hist.Count != int64(cart.Size()*steps) {
+			t.Errorf("%v: parmd.step_ms count = %d, want %d", scheme, hist.Count, cart.Size()*steps)
+		}
+		cp, ok := snap.Gauges["phase.critical_path_fraction"]
+		if !ok || cp <= 0 || cp > 1 {
+			t.Errorf("%v: phase.critical_path_fraction = %g (present=%v), want in (0, 1]", scheme, cp, ok)
+		}
 	}
 }
 

@@ -209,10 +209,6 @@ type rankState struct {
 	healthStep bool
 	curStep    int
 
-	// live, when non-nil, feeds this rank's per-step counter deltas
-	// into the metrics registry as the run steps (see liveMetrics).
-	live *liveMetrics
-
 	stats RankStats
 }
 

@@ -155,38 +155,38 @@ func TestLiveTelemetryServer(t *testing.T) {
 		}
 	}
 
-	// After the run, the exact end-of-run reconciliation has replaced
-	// the live approximations: the exposition totals must match the
-	// registry snapshot that publishMetrics produced.
+	// After the run, the live counters have reached the run's exact
+	// totals. parmd.steps counts force evaluations (the pre-loop setup
+	// evaluation plus one per step), so it must match the Result's
+	// reduction.
 	final := reg.Snapshot()
-	// parmd.steps counts force evaluations (the pre-loop setup
-	// evaluation plus one per step); the reconciled registry must match
-	// the Result's reduction exactly, not the live approximation.
 	if got, want := final.Counters["parmd.steps"], int64(res.MaxRank().Steps); got != want {
-		t.Errorf("final parmd.steps = %d, want %d (live adds not reconciled)", got, want)
+		t.Errorf("final parmd.steps = %d, want %d (an observation was not folded)", got, want)
 	}
 	if _, ok := final.Gauges["parmd.imbalance"]; !ok {
 		t.Error("parmd.imbalance missing from final registry")
 	}
 }
 
-// TestPublishMetricsNamesConsistent pins the name mapping between
-// publishMetrics' registry exports and the obs name helpers: every
-// comm/phase/health family the run registers must be recognized by
-// obs.SplitLabeled (so the exposition lifts its middle segment into a
-// label), and the per-class JSONL step-record keys must be the
+// TestPublishMetricsNamesConsistent pins the name mapping between the
+// registry a real 2-rank run fills — the observers' counter folds, the
+// end-of-run gauges, and the health monitor's probe counters — and the
+// obs name helpers: every comm/phase/health family must be recognized
+// by obs.SplitLabeled (so the exposition lifts its middle segment into
+// a label), and the per-class JSONL step-record keys must be the
 // flattened form of the same registry names.
 func TestPublishMetricsNamesConsistent(t *testing.T) {
-	res := &Result{
-		RankStats: []RankStats{{Steps: 3, OwnedAtoms: 10, ForceNs: 100}, {Steps: 3, OwnedAtoms: 12, ForceNs: 200}},
-		CommByClass: map[string]comm.Stats{
-			"halo": {Messages: 4, Bytes: 256}, "migrate": {Messages: 1, Bytes: 16},
-		},
-		Phases: []obs.PhaseStat{{Phase: "force:interior", MaxNs: 1e6, MeanNs: 1e6, PerRankNs: []int64{1e6, 1e6}}},
-		Wall:   time.Second,
-	}
+	cfg, model := silicaConfig(t, 4, 300, 7)
+	cart := comm.NewCart(2)
 	reg := obs.NewRegistry()
-	publishMetrics(reg, res)
+	res, err := Run(cfg, model, Options{
+		Scheme: SchemeSC, Cart: cart, Dt: 0.5, Steps: 2,
+		Recorder: obs.NewRecorder(cart.Size(), 256), Metrics: reg,
+		Health: health.New(health.Config{Every: 1, Registry: reg}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	snap := reg.Snapshot()
 
 	names := make([]string, 0, len(snap.Counters)+len(snap.Gauges))
@@ -196,10 +196,12 @@ func TestPublishMetricsNamesConsistent(t *testing.T) {
 	for n := range snap.Gauges {
 		names = append(names, n)
 	}
+	families := map[string]bool{}
 	for _, name := range names {
 		head, _, _ := strings.Cut(name, ".")
 		switch head {
 		case "comm", "phase", "health":
+			families[head] = true
 			if name == "phase.critical_path_fraction" {
 				continue // two segments: flat by design
 			}
@@ -208,11 +210,16 @@ func TestPublishMetricsNamesConsistent(t *testing.T) {
 			}
 		}
 	}
+	for _, head := range []string{"comm", "phase", "health"} {
+		if !families[head] {
+			t.Errorf("run registered no %s.* names", head)
+		}
+	}
 	if _, ok := snap.Gauges["parmd.imbalance"]; !ok {
-		t.Error("publishMetrics did not set parmd.imbalance without a balancer")
+		t.Error("run did not set parmd.imbalance without a balancer")
 	}
 	if _, ok := snap.Counters["parmd.repartitions"]; !ok {
-		t.Error("publishMetrics did not set parmd.repartitions without a balancer")
+		t.Error("run did not register parmd.repartitions without a balancer")
 	}
 	for class := range res.CommByClass {
 		regName := obs.CommClassMetric(class, "bytes")
@@ -222,31 +229,5 @@ func TestPublishMetricsNamesConsistent(t *testing.T) {
 		if got, want := obs.CommClassKey(class, "bytes"), obs.PromName(regName); got != want {
 			t.Errorf("JSONL key %q != flattened registry name %q", got, want)
 		}
-	}
-}
-
-// TestPublishMetricsIdempotent: publishMetrics after a run whose live
-// publisher already fed the registry must leave the same totals as on
-// a fresh registry — Store semantics, not double-counted Adds.
-func TestPublishMetricsIdempotent(t *testing.T) {
-	res := &Result{
-		RankStats:   []RankStats{{Steps: 5, TuplesEvaluated: 100}},
-		CommByClass: map[string]comm.Stats{"halo": {Messages: 2, Bytes: 64}},
-	}
-	reg := obs.NewRegistry()
-	// Simulate live approximations accumulated during the run.
-	reg.Counter("parmd.steps").Add(4)
-	reg.Counter("parmd.tuples_evaluated").Add(83)
-	reg.Counter(obs.CommClassMetric("halo", "bytes")).Add(48)
-	publishMetrics(reg, res)
-	snap := reg.Snapshot()
-	if got := snap.Counters["parmd.steps"]; got != 5 {
-		t.Errorf("parmd.steps = %d, want exact 5", got)
-	}
-	if got := snap.Counters["parmd.tuples_evaluated"]; got != 100 {
-		t.Errorf("parmd.tuples_evaluated = %d, want exact 100", got)
-	}
-	if got := snap.Counters["comm.halo.bytes"]; got != 64 {
-		t.Errorf("comm.halo.bytes = %d, want exact 64", got)
 	}
 }

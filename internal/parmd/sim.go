@@ -38,14 +38,20 @@ type Options struct {
 	// the hot path span-free (one branch per span site, no allocation,
 	// forces bit-identical either way).
 	Recorder *obs.Recorder
-	// StepLog, when non-nil, receives one JSONL record per rank per
-	// step: wall time, the per-phase time decomposition (with Recorder
-	// set), and the step's counter deltas.
+	// StepLog, when non-nil, receives one record per rank per step —
+	// wall time, the per-phase time decomposition (with Recorder set),
+	// and the step's counter deltas — built from the same per-step
+	// observation Metrics folds, and only while the writer is Active.
 	StepLog *obs.StepWriter
-	// Metrics, when non-nil, absorbs the run's counters at completion —
-	// summed RankStats, per-class comm traffic and receive-wait time,
-	// per-phase imbalance gauges — and accumulates a per-step wall-time
-	// histogram (parmd.step_ms) during the run.
+	// Metrics, when non-nil, subscribes to every rank's observations:
+	// its parmd.* and comm.<class>.* counters are live running totals
+	// that end equal to the run's RankStats and CommByClass totals, and
+	// parmd.step_ms collects the per-step wall times. At completion the
+	// run-level gauges (virial, imbalance, per-phase times, overlap and
+	// critical-path fractions) are set from the Result. In Worker mode
+	// the counters cover this process's rank only, the same scope as
+	// its step records, while on rank 0 the run-level gauges stay
+	// fleet-wide: they come from the gathered Result.
 	Metrics *obs.Registry
 	// Balance, when non-nil, turns on telemetry-driven adaptive
 	// repartitioning: every Balance.Every steps the ranks compare their
@@ -217,10 +223,6 @@ func Run(cfg *workload.Config, model *potential.Model, opt Options) (*Result, er
 	if opt.TraceEnergies {
 		res.Energies = make([]StepEnergy, opt.Steps)
 	}
-	var stepHist *obs.Histogram
-	if opt.Metrics != nil {
-		stepHist = opt.Metrics.Histogram("parmd.step_ms", obs.ExpBuckets(0.01, 2, 18))
-	}
 	finals := make([][]finalAtom, world.Size())
 
 	wallStart := time.Now()
@@ -259,9 +261,6 @@ func Run(cfg *workload.Config, model *potential.Model, opt Options) (*Result, er
 		}
 		r.rec = opt.Recorder.Rank(p.Rank())
 		r.monitor = opt.Health
-		if opt.Metrics != nil {
-			r.live = newLiveMetrics(opt.Metrics, p, opt.Recorder)
-		}
 		if opt.Balance != nil {
 			r.initBalance(opt.Balance)
 		}
@@ -284,15 +283,11 @@ func Run(cfg *workload.Config, model *potential.Model, opt Options) (*Result, er
 			res.InitialPotential = totalPE
 		}
 
-		// Per-step emission scratch: the emitter holds the previous
-		// cumulative phase times and counters, subtracted each step to
-		// get the step's own share. wallStart is the t_ns epoch, so
-		// every rank's timestamps share one clock.
-		logging := opt.StepLog != nil || stepHist != nil
-		var em *stepEmitter
-		if opt.StepLog != nil {
-			em = newStepEmitter(opt.StepLog, r, p, wallStart)
-		}
+		// The observer's first observation takes the setup's share, so
+		// step records cover their own step only. wallStart is the t_ns
+		// epoch, so every rank's timestamps share one clock.
+		ob := newObserver(opt, r, p, wallStart)
+		ob.observe()
 
 		if opt.Health.ParityEnabled() {
 			r.prewarmParity(cfg.N())
@@ -311,7 +306,7 @@ func Run(cfg *workload.Config, model *potential.Model, opt Options) (*Result, er
 
 		for step := 0; step < opt.Steps; step++ {
 			var stepStart time.Time
-			if logging {
+			if ob != nil {
 				stepStart = time.Now()
 			}
 			r.rec.SetStep(step)
@@ -374,24 +369,7 @@ func Run(cfg *workload.Config, model *potential.Model, opt Options) (*Result, er
 					return r.rankErr("health", err)
 				}
 			}
-			if logging {
-				wall := time.Since(stepStart)
-				if stepHist != nil {
-					stepHist.Observe(wall.Seconds() * 1e3)
-				}
-				if opt.StepLog.Active() {
-					em.emit(step, wall)
-				} else if em != nil {
-					// No sink, no file, no live subscriber: skip the record
-					// build but keep the delta scratch current, so a /steps
-					// subscriber joining mid-run sees per-step values from
-					// its first full step.
-					em.advance()
-				}
-			}
-			if r.live != nil {
-				r.live.publish(r, p)
-			}
+			ob.step(step, stepStart)
 		}
 
 		if opt.MeasureAllocs && opt.Steps > 0 {
@@ -403,6 +381,9 @@ func Run(cfg *workload.Config, model *potential.Model, opt Options) (*Result, er
 			}
 			p.Barrier() // no rank gathers (and allocates) before the read
 		}
+		// The last observation folds the post-loop barriers' traffic, so
+		// the registry's counters end equal to the gathered totals.
+		ob.observe()
 
 		// Gather final state. In-process, the collection is
 		// shared-memory (the comm counters only meter the simulation's

@@ -89,246 +89,242 @@ func (r *Result) MeanRank() RankStats {
 	return reduceRankStats(r.RankStats, func(_, mean float64) float64 { return mean })
 }
 
-// rankStatDeltas fills counters with the per-field difference cur−prev
-// under the table's names — one step's worth of counting for the
-// per-step telemetry records.
-func rankStatDeltas(cur, prev *RankStats, counters map[string]int64) {
-	for _, f := range rankStatFields {
-		counters[f.Name] = int64(f.Get(cur) - f.Get(prev))
-	}
+// rankDelta is one observation's worth of a rank's counting: the
+// change in its cumulative counters since the previous observation.
+// The shape is fixed at setup, so computing one allocates nothing.
+type rankDelta struct {
+	stats RankStats            // field-wise difference (OwnedAtoms and Virial too)
+	class []comm.Stats         // per tag class, in ClassNames order
+	wait  time.Duration        // receive wait summed over the classes
+	phase [obs.MaxPhases]int64 // recorder phase time; zero without a recorder
 }
 
-// liveMetrics is one rank's in-loop registry publisher: pre-resolved
-// counter and gauge handles (resolved once at setup, so the steady
-// state is a handful of atomic adds per step — no map lookups, no
-// allocation) that keep the registry's cumulative counters current
-// while the run is still stepping, so a live /metrics scrape sees
-// real values instead of zeros. The live values are exact for
-// monotone counters (they are the same deltas the step records
-// carry) and approximate for the reduced gauges; publishMetrics
-// overwrites everything with the exact end-of-run reduction via
-// Counter.Store, so the final registry is identical whether or not a
-// live publisher ran.
-type liveMetrics struct {
-	// counters is parallel to rankStatFields; nil entries are fields
-	// that do not live-publish from this rank (virial everywhere —
-	// it's a gauge of the summed final state — and steps on every rank
-	// but 0, since the registry's steps counter is a run-global step
-	// count, not a rank-step sum).
-	counters []*obs.Counter
-	imb      *obs.Gauge
-	repart   *obs.Counter
-	rec      *obs.Recorder
+// observer derives one rank's deltas and hands each to its two
+// subscribers: the metrics registry folds every observation, and the
+// step log receives a record built from each per-step one. A rank
+// observes once after the initial evaluation (the setup's share), once
+// per step, and once after the loop (post-loop barrier traffic), so the registry's counters add up to the run's
+// totals exactly while step records cover their own step only.
+type observer struct {
+	r     *rankState
+	p     *comm.Proc
+	epoch time.Time // t_ns origin, shared by every rank
 
-	classNames []string
+	d         rankDelta
+	prevStats RankStats
+	prevClass []comm.Stats
+	prevPhase [obs.MaxPhases]int64
+	curClass  []comm.Stats
+
+	// Registry handles, resolved once so a fold is a handful of atomic
+	// adds. counters parallels rankStatFields; its nil entries do not
+	// fold (virial is a run-level gauge, and steps is a run-global step
+	// count that only rank 0 adds to). imb and repart are rank 0's.
+	reg        *obs.Registry
+	counters   []*obs.Counter
 	classBytes []*obs.Counter
 	classMsgs  []*obs.Counter
 	classWait  []*obs.Counter
+	stepHist   *obs.Histogram
+	imb        *obs.Gauge
+	repart     *obs.Counter
+	repartSeen int
+	recorder   *obs.Recorder
 
-	prev      RankStats
-	prevClass []comm.Stats
-	curClass  []comm.Stats
-	rank0     bool
+	// Step-record scratch: the maps are cleared and refilled with the
+	// same keys each step (Go keeps map buckets across clear), and the
+	// comm_<class>_bytes keys and phase names are interned once.
+	log        *obs.StepWriter
+	rec        obs.StepRecord
+	classKeys  []string
+	phaseNames [obs.MaxPhases]string
 }
 
-// newLiveMetrics resolves this rank's registry handles. The previous
-// cumulative state starts at zero, so the first publish folds in the
-// whole pre-loop setup (initial force evaluation, adoption) and the
-// live counters track true cumulative totals from step 0 on.
-func newLiveMetrics(reg *obs.Registry, p *comm.Proc, rec *obs.Recorder) *liveMetrics {
-	lm := &liveMetrics{rec: rec, rank0: p.Rank() == 0}
-	lm.counters = make([]*obs.Counter, len(rankStatFields))
-	for i, f := range rankStatFields {
-		switch f.Name {
-		case "virial":
-		case "steps":
-			if lm.rank0 {
-				lm.counters[i] = reg.Counter("parmd.steps")
+// newObserver builds rank p's observer over the run's registry and
+// step log, or returns nil when the run has neither. Every method is a
+// no-op on nil.
+func newObserver(opt Options, r *rankState, p *comm.Proc, epoch time.Time) *observer {
+	if opt.Metrics == nil && opt.StepLog == nil {
+		return nil
+	}
+	o := &observer{r: r, p: p, epoch: epoch, reg: opt.Metrics, log: opt.StepLog, recorder: opt.Recorder}
+	n := p.ClassCount()
+	o.d.class = make([]comm.Stats, n)
+	o.prevClass = make([]comm.Stats, n)
+	o.curClass = make([]comm.Stats, n)
+	names := p.ClassNames()
+	if reg := opt.Metrics; reg != nil {
+		rank0 := p.Rank() == 0
+		o.counters = make([]*obs.Counter, len(rankStatFields))
+		for i, f := range rankStatFields {
+			if f.Name != "virial" && (f.Name != "steps" || rank0) {
+				o.counters[i] = reg.Counter("parmd." + f.Name)
 			}
-		default:
-			lm.counters[i] = reg.Counter("parmd." + f.Name)
+		}
+		o.classBytes = make([]*obs.Counter, n)
+		o.classMsgs = make([]*obs.Counter, n)
+		o.classWait = make([]*obs.Counter, n)
+		for i, name := range names {
+			o.classBytes[i] = reg.Counter(obs.CommClassMetric(name, "bytes"))
+			o.classMsgs[i] = reg.Counter(obs.CommClassMetric(name, "messages"))
+			o.classWait[i] = reg.Counter(obs.CommClassMetric(name, "wait_ns"))
+		}
+		o.stepHist = reg.Histogram("parmd.step_ms", obs.ExpBuckets(0.01, 2, 18))
+		if rank0 {
+			o.imb = reg.Gauge("parmd.imbalance")
+			o.imb.Set(1) // present from the start; refined by every fold
+			o.repart = reg.Counter("parmd.repartitions")
+			reg.Gauge("parmd.ranks").Set(float64(p.Size()))
 		}
 	}
-	if lm.rank0 {
-		lm.imb = reg.Gauge("parmd.imbalance")
-		lm.imb.Set(1) // present from step 0; refined below and at run end
-		lm.repart = reg.Counter("parmd.repartitions")
-		reg.Gauge("parmd.ranks").Set(float64(p.Size()))
+	if opt.StepLog != nil {
+		o.rec.Rank = p.Rank()
+		o.classKeys = make([]string, n)
+		for i, name := range names {
+			o.classKeys[i] = obs.CommClassKey(name, "bytes")
+		}
+		o.rec.Counters = make(map[string]int64, len(rankStatFields)+2+n)
+		if r.rec != nil {
+			o.rec.PhaseNs = make(map[string]int64, obs.MaxPhases)
+		}
 	}
-	lm.classNames = p.ClassNames()
-	lm.classBytes = make([]*obs.Counter, len(lm.classNames))
-	lm.classMsgs = make([]*obs.Counter, len(lm.classNames))
-	lm.classWait = make([]*obs.Counter, len(lm.classNames))
-	for i, name := range lm.classNames {
-		lm.classBytes[i] = reg.Counter(obs.CommClassMetric(name, "bytes"))
-		lm.classMsgs[i] = reg.Counter(obs.CommClassMetric(name, "messages"))
-		lm.classWait[i] = reg.Counter(obs.CommClassMetric(name, "wait_ns"))
-	}
-	lm.prevClass = make([]comm.Stats, p.ClassCount())
-	lm.curClass = make([]comm.Stats, p.ClassCount())
-	return lm
+	return o
 }
 
-// publish adds this rank's step deltas into the registry and, on rank
-// 0, refreshes the live force-imbalance gauge (from the balancer's
-// last collective check when one runs, else from the recorder's
-// atomic per-rank force-phase clocks). Allocation-free.
-func (lm *liveMetrics) publish(r *rankState, p *comm.Proc) {
+// diff computes the delta since the previous observation into o.d and
+// makes the current cumulative state the new baseline — the one place
+// a rank's per-step counting is derived. Allocation-free.
+func (o *observer) diff() {
+	for _, f := range rankStatFields {
+		f.Set(&o.d.stats, f.Get(&o.r.stats)-f.Get(&o.prevStats))
+	}
+	o.prevStats = o.r.stats
+	o.p.ClassStatsInto(o.curClass)
+	o.d.wait = 0
+	for i, cur := range o.curClass {
+		prev := o.prevClass[i]
+		o.d.class[i] = comm.Stats{
+			Messages: cur.Messages - prev.Messages,
+			Bytes:    cur.Bytes - prev.Bytes,
+			Wait:     cur.Wait - prev.Wait,
+		}
+		o.d.wait += o.d.class[i].Wait
+	}
+	o.prevClass, o.curClass = o.curClass, o.prevClass
+	var phase [obs.MaxPhases]int64
+	o.r.rec.CopyPhaseNs(&phase)
+	for i := range phase {
+		o.d.phase[i] = phase[i] - o.prevPhase[i]
+	}
+	o.prevPhase = phase
+}
+
+// observe takes one observation and folds it into the registry; the
+// setup and post-loop observations are this call alone.
+func (o *observer) observe() {
+	if o == nil {
+		return
+	}
+	o.diff()
+	o.fold()
+}
+
+// step is the whole telemetry tail of one loop step started at start:
+// observe, record the step's wall time, and — while the step log is
+// Active — write the step record. Allocation-free when no encoding
+// consumer (file or /steps subscriber) is attached.
+func (o *observer) step(step int, start time.Time) {
+	if o == nil {
+		return
+	}
+	wall := time.Since(start)
+	o.observe()
+	if o.stepHist != nil {
+		o.stepHist.Observe(wall.Seconds() * 1e3)
+	}
+	if o.log.Active() {
+		o.writeRecord(step, wall)
+	}
+}
+
+// fold adds the current delta into the registry and, on rank 0,
+// refreshes the live repartition count and force-imbalance gauge (the
+// balancer's last collective measure when one runs, else the
+// recorder's per-rank force-phase clocks).
+func (o *observer) fold() {
+	if o.reg == nil {
+		return
+	}
 	for i, f := range rankStatFields {
-		c := lm.counters[i]
-		if c == nil {
-			continue
-		}
-		if d := int64(f.Get(&r.stats) - f.Get(&lm.prev)); d != 0 {
-			c.Add(d)
+		if c := o.counters[i]; c != nil {
+			c.Add(int64(f.Get(&o.d.stats)))
 		}
 	}
-	lm.prev = r.stats
-	p.ClassStatsInto(lm.curClass)
-	for i := range lm.classNames {
-		cur, prev := lm.curClass[i], lm.prevClass[i]
-		if d := cur.Bytes - prev.Bytes; d != 0 {
-			lm.classBytes[i].Add(d)
-		}
-		if d := cur.Messages - prev.Messages; d != 0 {
-			lm.classMsgs[i].Add(d)
-		}
-		if d := (cur.Wait - prev.Wait).Nanoseconds(); d != 0 {
-			lm.classWait[i].Add(d)
-		}
-		lm.prevClass[i] = cur
+	for i, d := range o.d.class {
+		o.classBytes[i].Add(d.Bytes)
+		o.classMsgs[i].Add(d.Messages)
+		o.classWait[i].Add(d.Wait.Nanoseconds())
 	}
-	if !lm.rank0 {
+	if o.imb == nil {
 		return
 	}
-	if r.bal != nil {
-		lm.repart.Store(int64(r.bal.repartitions))
-		if r.bal.lastImb > 0 {
-			lm.imb.Set(r.bal.lastImb)
+	if bal := o.r.bal; bal != nil {
+		o.repart.Add(int64(bal.repartitions - o.repartSeen))
+		o.repartSeen = bal.repartitions
+		if bal.lastImb > 0 {
+			o.imb.Set(bal.lastImb)
 		}
 		return
 	}
-	if lm.rec != nil {
-		n := lm.rec.Ranks()
-		var max, sum float64
+	if o.recorder != nil {
+		n := o.recorder.Ranks()
+		var mx, sum float64
 		for i := 0; i < n; i++ {
-			rr := lm.rec.Rank(i)
+			rr := o.recorder.Rank(i)
 			ns := float64(rr.PhaseNs(phaseForceInterior) + rr.PhaseNs(phaseForceBoundary))
 			sum += ns
-			if ns > max {
-				max = ns
-			}
+			mx = math.Max(mx, ns)
 		}
 		if sum > 0 {
-			lm.imb.Set(max / (sum / float64(n)))
+			o.imb.Set(mx / (sum / float64(n)))
 		}
 	}
 }
 
-// stepEmitter builds and writes one rank's per-step telemetry record:
-// the wall time, a monotonic timestamp against the run's shared epoch,
-// phase-time deltas (when a recorder runs), and counter deltas against
-// the previous step's cumulative state. All scratch is persistent —
-// the record's maps are cleared and refilled with the same keys each
-// step (Go retains map buckets across clear, so the steady state
-// allocates nothing even when a sink like the flight recorder consumes
-// every step), and the comm_<class>_bytes keys and phase names are
-// interned once at setup.
-type stepEmitter struct {
-	w     *obs.StepWriter
-	r     *rankState
-	p     *comm.Proc
-	epoch time.Time
-
-	rec        obs.StepRecord
-	prevPhase  [obs.MaxPhases]int64
-	phaseNames [obs.MaxPhases]string
-	prevStats  RankStats
-	prevWait   time.Duration
-	classNames []string
-	classKeys  []string // pre-built obs.CommClassKey(name, "bytes")
-	prevClass  []comm.Stats
-	curClass   []comm.Stats
-}
-
-// newStepEmitter builds the emitter and seeds the delta scratch from
-// the current cumulative state, so the first step's record carries
-// that step's own share rather than the setup's (initial force
-// evaluation, adoption).
-func newStepEmitter(w *obs.StepWriter, r *rankState, p *comm.Proc, epoch time.Time) *stepEmitter {
-	e := &stepEmitter{w: w, r: r, p: p, epoch: epoch}
-	e.rec.Rank = p.Rank()
-	e.classNames = p.ClassNames()
-	e.classKeys = make([]string, len(e.classNames))
-	for i, name := range e.classNames {
-		e.classKeys[i] = obs.CommClassKey(name, "bytes")
+// writeRecord writes the step record of the current delta: the
+// counter deltas under the rankStatFields names, owned_atoms as the
+// current absolute value, the receive wait as comm_wait_ns, each
+// class's sent bytes as comm_<class>_bytes (so a step log can pin a
+// traffic spike on halo vs migrate vs write-back), and the nonzero
+// phase times.
+func (o *observer) writeRecord(step int, wall time.Duration) {
+	o.rec.Step = step
+	o.rec.WallNs = wall.Nanoseconds()
+	o.rec.TNs = time.Since(o.epoch).Nanoseconds()
+	clear(o.rec.Counters)
+	for _, f := range rankStatFields {
+		o.rec.Counters[f.Name] = int64(f.Get(&o.d.stats))
 	}
-	e.rec.Counters = make(map[string]int64, len(rankStatFields)+2+len(e.classNames))
-	if r.rec != nil {
-		e.rec.PhaseNs = make(map[string]int64, obs.MaxPhases)
-	}
-	e.prevClass = make([]comm.Stats, p.ClassCount())
-	e.curClass = make([]comm.Stats, p.ClassCount())
-	e.advance()
-	return e
-}
-
-// advance rolls the per-step delta scratch forward without building a
-// record — the inactive-writer path (no sink, no file, no live
-// subscriber), so a subscriber that joins mid-run gets true per-step
-// deltas from its first full step instead of a cumulative catch-up
-// line. Allocation-free.
-func (e *stepEmitter) advance() {
-	e.prevStats = e.r.stats
-	e.prevWait = e.p.Stats().Wait
-	e.p.ClassStatsInto(e.prevClass)
-	if e.r.rec != nil {
-		e.r.rec.CopyPhaseNs(&e.prevPhase)
-	}
-}
-
-// emit writes this rank's telemetry record for one step and advances
-// the scratch. owned_atoms is reported as the current absolute value,
-// the runtime's receive-wait delta rides along as comm_wait_ns, and
-// each tag class's sent-byte delta as comm_<class>_bytes — so a step
-// log can attribute a traffic spike to halo vs migrate vs write-back
-// directly. Allocation-free in the steady state when no encoding
-// consumer (file sink or tee subscriber) is attached.
-func (e *stepEmitter) emit(step int, wall time.Duration) {
-	e.rec.Step = step
-	e.rec.WallNs = wall.Nanoseconds()
-	e.rec.TNs = time.Since(e.epoch).Nanoseconds()
-	clear(e.rec.Counters)
-	rankStatDeltas(&e.r.stats, &e.prevStats, e.rec.Counters)
-	e.rec.Counters["owned_atoms"] = int64(e.r.stats.OwnedAtoms)
-	e.prevStats = e.r.stats
-	wait := e.p.Stats().Wait
-	e.rec.Counters["comm_wait_ns"] = (wait - e.prevWait).Nanoseconds()
-	e.prevWait = wait
-	e.p.ClassStatsInto(e.curClass)
-	for i := range e.classNames {
-		if d := e.curClass[i].Bytes - e.prevClass[i].Bytes; d != 0 {
-			e.rec.Counters[e.classKeys[i]] = d
+	o.rec.Counters["owned_atoms"] = int64(o.r.stats.OwnedAtoms)
+	o.rec.Counters["comm_wait_ns"] = o.d.wait.Nanoseconds()
+	for i, key := range o.classKeys {
+		if b := o.d.class[i].Bytes; b != 0 {
+			o.rec.Counters[key] = b
 		}
-		e.prevClass[i] = e.curClass[i]
 	}
-	if e.r.rec != nil {
-		var cur [obs.MaxPhases]int64
-		e.r.rec.CopyPhaseNs(&cur)
-		clear(e.rec.PhaseNs)
-		for i := range cur {
-			if d := cur[i] - e.prevPhase[i]; d != 0 {
-				name := e.phaseNames[i]
-				if name == "" {
-					name = obs.PhaseID(i).Name()
-					e.phaseNames[i] = name
-				}
-				e.rec.PhaseNs[name] = d
+	if o.rec.PhaseNs != nil {
+		clear(o.rec.PhaseNs)
+		for i, ns := range o.d.phase {
+			if ns == 0 {
+				continue
 			}
+			if o.phaseNames[i] == "" {
+				o.phaseNames[i] = obs.PhaseID(i).Name()
+			}
+			o.rec.PhaseNs[o.phaseNames[i]] = ns
 		}
-		e.prevPhase = cur
 	}
-	e.w.WriteStep(e.rec)
+	o.log.WriteStep(o.rec)
 }
 
 // OverlapFraction returns the measured overlap efficiency of the
@@ -382,53 +378,27 @@ func (r *Result) ForceImbalance() float64 {
 	return float64(maxNs) / (float64(sumNs) / float64(len(r.RankStats)))
 }
 
-// publishMetrics exports the run's accumulated counters into the
-// registry: summed RankStats under parmd.*, per-class communication
-// volume and receive-wait time under comm.<class>.*, and — when a span
-// recorder ran — per-phase max-rank milliseconds and imbalance gauges
-// under phase.*. Counters are Stored, not Added: a live publisher may
-// have been feeding per-step approximations into the same registry
-// all run, and the end-of-run reconciliation overwrites them with the
-// exact totals — the final registry is identical either way.
+// publishMetrics sets the registry's run-level gauges from the
+// gathered Result: the summed virial, the final imbalance, and — when
+// a span recorder ran — per-phase max-rank milliseconds and imbalance,
+// the overlap fraction and the critical-path fraction. The counters
+// need no reconciling: every rank's observer has already folded all
+// of its deltas into them.
 func publishMetrics(reg *obs.Registry, res *Result) {
 	if reg == nil {
 		return
 	}
-	var sum RankStats
+	var virial float64
 	for _, s := range res.RankStats {
-		sum.Add(s)
+		virial += s.Virial
 	}
-	sum.Steps = 0
-	for _, s := range res.RankStats {
-		if s.Steps > sum.Steps {
-			sum.Steps = s.Steps
-		}
-	}
-	sum.OwnedAtoms = 0
-	for _, s := range res.RankStats {
-		sum.OwnedAtoms += s.OwnedAtoms
-	}
-	for _, f := range rankStatFields {
-		if f.Name == "virial" {
-			reg.Gauge("parmd.virial").Set(sum.Virial)
-			continue
-		}
-		reg.Counter("parmd." + f.Name).Store(int64(f.Get(&sum)))
-	}
-	reg.Gauge("parmd.ranks").Set(float64(len(res.RankStats)))
-	reg.Counter("parmd.repartitions").Store(int64(res.Repartitions))
+	reg.Gauge("parmd.virial").Set(virial)
 	// parmd.imbalance is always present: the balancer's last collective
 	// measure when one ran, the whole-run force imbalance otherwise.
 	if res.BalanceChecks > 0 {
 		reg.Gauge("parmd.imbalance").Set(res.Imbalance)
 	} else {
 		reg.Gauge("parmd.imbalance").Set(res.ForceImbalance())
-	}
-
-	for class, s := range res.CommByClass {
-		reg.Counter(obs.CommClassMetric(class, "messages")).Store(s.Messages)
-		reg.Counter(obs.CommClassMetric(class, "bytes")).Store(s.Bytes)
-		reg.Counter(obs.CommClassMetric(class, "wait_ns")).Store(s.Wait.Nanoseconds())
 	}
 
 	for _, ps := range res.Phases {

@@ -112,13 +112,14 @@ func TestStepLoopZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestStepTelemetryZeroAllocs: the full telemetry tail of the step
-// loop — step-time histogram observation, the step emitter building
-// full records into the flight recorder (the writer is active: a sink
-// is attached, but no file and no /steps subscriber, so nothing is
-// JSON-encoded), and the live registry publisher — stays
-// allocation-free on top of the zero-alloc step. This is the exact
-// configuration of an scmd run with -serve and nobody watching.
+// TestStepTelemetryZeroAllocs: the step loop's telemetry tail — the
+// rank observer deriving the step's delta, folding it into the
+// registry (counters, step-time histogram, rank 0's imbalance gauge),
+// and building full records into the flight recorder (the writer is
+// active: a sink is attached, but no file and no /steps subscriber,
+// so nothing is JSON-encoded) — stays allocation-free on top of the
+// zero-alloc step. This is the exact configuration of an scmd run
+// with -serve and nobody watching.
 func TestStepTelemetryZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -139,7 +140,6 @@ func TestStepTelemetryZeroAllocs(t *testing.T) {
 	}
 	recorder := obs.NewRecorder(cart.Size(), 4096)
 	reg := obs.NewRegistry()
-	stepHist := reg.Histogram("parmd.step_ms", obs.ExpBuckets(0.01, 2, 18))
 	tee := obs.NewStepTee()
 	sw := obs.NewStepWriterTee(nil, tee)
 	fl := flight.New(flight.Config{Ranks: cart.Size(), Registry: reg, Tee: tee})
@@ -147,6 +147,7 @@ func TestStepTelemetryZeroAllocs(t *testing.T) {
 	// The server only holds references; attaching it must not change
 	// the step loop's allocation behavior.
 	_ = &serve.Server{Registry: reg, Recorder: recorder, Steps: tee, Flight: fl}
+	opt := Options{Recorder: recorder, StepLog: sw, Metrics: reg}
 
 	world := comm.NewWorld(cart.Size())
 	defineTagClasses(world)
@@ -156,12 +157,12 @@ func TestStepTelemetryZeroAllocs(t *testing.T) {
 			return err
 		}
 		r.rec = recorder.Rank(p.Rank())
-		r.live = newLiveMetrics(reg, p, recorder)
 		r.adopt(cfg)
 		if _, err := r.computeForces(); err != nil {
 			return err
 		}
-		em := newStepEmitter(sw, r, p, time.Now())
+		ob := newObserver(opt, r, p, time.Now())
+		ob.observe()
 		stepN := 0
 		step := func() error {
 			start := time.Now()
@@ -181,14 +182,11 @@ func TestStepTelemetryZeroAllocs(t *testing.T) {
 			for i := 0; i < r.nOwned; i++ {
 				r.vel[i] = r.vel[i].Add(r.force[i].Scale(half / masses[r.species[i]]))
 			}
-			wall := time.Since(start)
-			stepHist.Observe(wall.Seconds() * 1e3)
 			if !sw.Active() {
 				return fmt.Errorf("step writer inactive despite the flight sink")
 			}
-			em.emit(stepN, wall)
+			ob.step(stepN, start)
 			stepN++
-			r.live.publish(r, p)
 			return nil
 		}
 		var stepErr error
