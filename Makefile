@@ -1,10 +1,10 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all check build test test-short race bench bench-record bench-compare figures examples vet fmt fmt-check
+.PHONY: all check build test test-short race bench perfbench-check figures examples vet fmt fmt-check
 
 all: check
 
-check: fmt-check build vet test
+check: fmt-check build vet test perfbench-check
 
 build:
 	go build ./...
@@ -22,6 +22,10 @@ fmt-check:
 test:
 	go test ./...
 
+# perfbench is a nested module, so the root ./... patterns skip it.
+perfbench-check:
+	cd perfbench && go vet . && go test .
+
 test-short:
 	go test -short ./...
 
@@ -30,16 +34,6 @@ race:
 
 bench:
 	go test -bench=. -benchmem -run XXX ./...
-
-# Record a benchmark baseline (BENCH_<gitsha>.json) and diff two
-# recordings; see EXPERIMENTS.md "Recording and comparing benchmarks".
-bench-record:
-	go run ./cmd/scbench record
-
-BASE ?= BENCH_baseline.json
-NEW ?=
-bench-compare:
-	go run ./cmd/scbench compare $(BASE) $(NEW)
 
 # Regenerate every table and figure of the paper (DESIGN.md maps them).
 figures:

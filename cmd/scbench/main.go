@@ -13,20 +13,23 @@
 //	                          (import atoms, search cost, and wire bytes
 //	                          from the comm runtime's per-tag counters)
 //	scbench workers           intra-node worker sweep of the force kernel (§6)
-//	scbench record            record a machine-readable benchmark (BENCH_<sha>.json)
-//	scbench compare old new   diff two recorded benchmarks; non-zero exit on regression
+//	scbench transport         chan vs socket fabric on one workload, with a
+//	                          forces bit-identity check
 //	scbench watch addr        poll a live scmd -serve run and render a terminal dashboard
 //	scbench analyze path      replay anomaly detectors over a postmortem bundle
 //	                          (scmd -postmortem) or step log; non-zero exit on
 //	                          hard anomalies
-//	scbench all               everything above (except record/compare/watch/analyze)
+//	scbench all               everything above except transport, watch and analyze
+//
+// Timed, repeatable benchmark runs and their comparison across
+// commits live in the separate perfbench module (see EXPERIMENTS.md
+// "Recording and comparing benchmarks").
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
 	"runtime"
 	"strings"
 	"time"
@@ -65,10 +68,6 @@ func main() {
 		err = runWorkers(args)
 	case "transport":
 		err = runTransport(args)
-	case "record":
-		err = runRecord(args)
-	case "compare":
-		err = runCompare(args)
 	case "watch":
 		err = runWatch(args)
 	case "analyze":
@@ -86,11 +85,9 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: scbench {patterns|imports|midpoint|fig7|fig8|fig9|ablate|validate|workers|transport|record|compare|watch|analyze|all} [flags]")
+	fmt.Fprintln(os.Stderr, "usage: scbench {patterns|imports|midpoint|fig7|fig8|fig9|ablate|validate|workers|transport|watch|analyze|all} [flags]")
 	fmt.Fprintln(os.Stderr, "  transport: chan vs socket fabric on one workload, with a forces bit-identity check")
 	fmt.Fprintln(os.Stderr, "  fig8/fig9 flags: -machine {xeon|bgq}; fig9 also -extreme")
-	fmt.Fprintln(os.Stderr, "  record flags: -out file -atoms n -steps n -ranks n -seed n -sha s")
-	fmt.Fprintln(os.Stderr, "  compare: scbench compare old.json new.json [-threshold pct] [-max-allocs n]")
 	fmt.Fprintln(os.Stderr, "  watch:   scbench watch host:port [-every dur] [-n polls] [-plain]  (pairs with scmd -serve)")
 	fmt.Fprintln(os.Stderr, "  analyze: scbench analyze {bundle-dir|steps.jsonl}  (pairs with scmd -postmortem)")
 }
@@ -218,71 +215,9 @@ func runTransport(args []string) error {
 	return bench.TransportReport(os.Stdout, *atoms, *ranks, *steps, *seed, *network)
 }
 
-func runRecord(args []string) error {
-	fs := flag.NewFlagSet("record", flag.ExitOnError)
-	out := fs.String("out", "", "output path (default BENCH_<sha>.json)")
-	atoms := fs.Int("atoms", 1500, "approximate atom count per workload")
-	steps := fs.Int("steps", 10, "NVE steps per workload")
-	ranks := fs.Int("ranks", 2, "ranks of the in-process world")
-	workers := fs.Int("workers", 1, "intra-rank force workers")
-	seed := fs.Int64("seed", 1, "thermalization seed (recorded in the file)")
-	sha := fs.String("sha", "", "git SHA to stamp (default: git rev-parse HEAD)")
-	fs.Parse(args)
-	if *sha == "" {
-		*sha = gitSHA()
-	}
-	bf, err := bench.Record(bench.RecordOptions{
-		Atoms: *atoms, Steps: *steps, Ranks: *ranks, Workers: *workers,
-		Seed: *seed, GitSHA: *sha,
-	})
-	if err != nil {
-		return err
-	}
-	path := *out
-	if path == "" {
-		path = "BENCH_" + shortRef(*sha) + ".json"
-	}
-	if err := bench.WriteBenchFile(path, bf); err != nil {
-		return err
-	}
-	healthy := true
-	for _, w := range bf.Workloads {
-		healthy = healthy && w.Health.Healthy()
-	}
-	fmt.Printf("recorded %d workloads to %s (seed %d, healthy %v)\n",
-		len(bf.Workloads), path, bf.Seed, healthy)
-	return nil
-}
-
-// runCompare accepts flags before or after the two positional paths
-// (`scbench compare old.json new.json -threshold 10`), so the
-// documented invocation order works even though package flag stops at
-// the first non-flag argument.
-func runCompare(args []string) error {
-	var pos, flags []string
-	for i := 0; i < len(args); i++ {
-		if strings.HasPrefix(args[i], "-") {
-			flags = append(flags, args[i])
-			if !strings.Contains(args[i], "=") && i+1 < len(args) {
-				i++
-				flags = append(flags, args[i])
-			}
-			continue
-		}
-		pos = append(pos, args[i])
-	}
-	fs := flag.NewFlagSet("compare", flag.ExitOnError)
-	threshold := fs.Float64("threshold", 10, "regression threshold in percent")
-	maxAllocs := fs.Float64("max-allocs", 100, "absolute allocs_per_step ceiling on the new record (0 disables)")
-	fs.Parse(flags)
-	if len(pos) != 2 {
-		return fmt.Errorf("compare needs exactly two files: scbench compare old.json new.json [-threshold pct] [-max-allocs n]")
-	}
-	return bench.CompareReport(os.Stdout, pos[0], pos[1], *threshold, *maxAllocs)
-}
-
-// runWatch accepts the address before or after the flags, like
-// runCompare, so `scbench watch :9190 -every 2s` works.
+// runWatch accepts the address before or after the flags, so
+// `scbench watch :9190 -every 2s` works even though package flag stops
+// at the first non-flag argument.
 func runWatch(args []string) error {
 	var pos, flags []string
 	for i := 0; i < len(args); i++ {
@@ -314,26 +249,6 @@ func runAnalyze(args []string) error {
 		return fmt.Errorf("analyze needs one path: scbench analyze {bundle-dir|steps.jsonl}")
 	}
 	return bench.AnalyzeReport(os.Stdout, args[0])
-}
-
-// gitSHA best-effort resolves HEAD; record still works outside a git
-// checkout (the SHA is then empty and the default filename generic).
-func gitSHA() string {
-	out, err := exec.Command("git", "rev-parse", "HEAD").Output()
-	if err != nil {
-		return ""
-	}
-	return strings.TrimSpace(string(out))
-}
-
-func shortRef(sha string) string {
-	if sha == "" {
-		return "local"
-	}
-	if len(sha) > 12 {
-		return sha[:12]
-	}
-	return sha
 }
 
 func runAll() error {

@@ -203,11 +203,15 @@ func run(modelName, engineName string, atoms, cells, steps int, dt, temp, thermo
 		if opts.traj != "" {
 			return fmt.Errorf("-traj is supported for serial runs only")
 		}
+		workers := opts.workers
+		if workers <= 0 {
+			workers = runtime.GOMAXPROCS(0)
+		}
 		switch sock.transport {
 		case "socket":
-			return runSocketMode(cfg, model, engineName, steps, dt, ranks, every, opts.workers, tel, sock)
+			return runSocketMode(cfg, model, engineName, steps, dt, ranks, every, workers, tel, sock)
 		case "chan":
-			return runParallel(cfg, model, engineName, steps, dt, ranks, every, opts.workers, tel, sock.dump)
+			return runParallel(cfg, model, engineName, steps, dt, ranks, every, workers, tel, sock.dump)
 		default:
 			return fmt.Errorf("-transport %q: want chan or socket", sock.transport)
 		}
@@ -384,22 +388,93 @@ func printStructure(sys *md.System, model *potential.Model) error {
 	return nil
 }
 
-func runParallel(cfg *workload.Config, model *potential.Model, engineName string, steps int, dt float64, ranks, every, workers int, tel telemetryOpts, dumpForces string) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+// parallelOptions builds the parmd options both transports share: the
+// scheme and topology, the run shape and exchange mode, the balancer,
+// and the health monitor, whose probe counters land in reg when it is
+// non-nil.
+func parallelOptions(engineName string, steps int, dt float64, ranks, workers int, tel telemetryOpts, reg *obs.Registry) (parmd.Options, error) {
 	scheme, err := schemeFor(engineName)
+	if err != nil {
+		return parmd.Options{}, err
+	}
+	popt := parmd.Options{
+		Scheme: scheme, Cart: comm.NewCart(ranks), Dt: dt, Steps: steps, Workers: workers,
+		TraceEnergies: true, Log: tel.log, NoOverlap: tel.noOverlap, Metrics: reg,
+	}
+	if tel.balance {
+		popt.Balance = &parmd.Balancer{Every: tel.balanceEvery, Threshold: tel.balanceThreshold}
+	}
+	if tel.healthEvery > 0 || tel.parityEvery > 0 {
+		every := tel.healthEvery
+		if every <= 0 {
+			every = tel.parityEvery
+		}
+		hcfg := health.Config{Every: every, ParityEvery: tel.parityEvery, Logger: tel.log, Registry: reg}
+		if tel.abortOnFail {
+			hcfg.OnFail = health.ActionRecord | health.ActionLog | health.ActionAbort
+		}
+		popt.Health = health.New(hcfg)
+	}
+	return popt, nil
+}
+
+// printRun prints the report both transports share: the per-step
+// energy table, the wall time, and the exchange volume by traffic
+// class.
+func printRun(res *parmd.Result, elapsed time.Duration, steps, every int) {
+	fmt.Printf("%8s %14s %14s %14s\n", "step", "PE (eV)", "KE (eV)", "E total (eV)")
+	for s := 0; s < len(res.Energies); s += max(1, every) {
+		e := res.Energies[s]
+		fmt.Printf("%8d %14.4f %14.4f %14.4f\n", s+1, e.Potential, e.Kinetic, e.Total())
+	}
+	fmt.Printf("\n%.2f ms/step wall; comm %d messages, %.2f MB total\n",
+		elapsed.Seconds()*1e3/float64(max(1, steps)),
+		res.Comm.Messages, float64(res.Comm.Bytes)/1e6)
+	fmt.Println("comm by traffic class (from the runtime's per-tag counters):")
+	for _, class := range []string{"halo", "force", "migrate", "collective"} {
+		s := res.CommByClass[class]
+		if s.Messages == 0 {
+			continue
+		}
+		fmt.Printf("  %-10s %8d msgs  %10.3f MB  %8.1f ms recv wait\n",
+			class, s.Messages, float64(s.Bytes)/1e6, s.Wait.Seconds()*1e3)
+	}
+}
+
+// printHealth prints the per-probe severity counts of a health-probed
+// run.
+func printHealth(h health.Summary) {
+	fmt.Println("\nhealth probes (severity counts over sampled steps):")
+	fmt.Printf("  %-14s %6s %6s %6s %14s\n", "probe", "ok", "warn", "fail", "last value")
+	for _, p := range h.Probes {
+		fmt.Printf("  %-14s %6d %6d %6d %14.3g\n", p.Probe, p.OK, p.Warn, p.Fail, p.Last)
+	}
+	if h.Healthy() {
+		fmt.Println("  all probes ok")
+	}
+}
+
+func runParallel(cfg *workload.Config, model *potential.Model, engineName string, steps int, dt float64, ranks, every, workers int, tel telemetryOpts, dumpForces string) error {
+	// The registry, the recorder and the step writer are built here, in
+	// one place. -metrics writes the step records and a final registry
+	// snapshot to a file. The flight recorder is the in-memory black box
+	// behind -serve's /history and /anomalies, the -postmortem bundle,
+	// and -model-check's residual detector; it rides the same step
+	// records as an in-process sink, so attaching it costs no
+	// allocation per step. -serve also streams the encoded records to
+	// live /steps subscribers.
+	flightOn := tel.serve != "" || tel.postmortem != "" || tel.modelCheck
+	var reg *obs.Registry
+	if tel.metrics != "" || flightOn {
+		reg = obs.NewRegistry()
+	}
+	popt, err := parallelOptions(engineName, steps, dt, ranks, workers, tel, reg)
 	if err != nil {
 		return err
 	}
-	cart := comm.NewCart(ranks)
 	fmt.Printf("engine %v on %d ranks (%v topology) × %d workers, dt %g fs, %d steps\n",
-		scheme, ranks, cart.Dims, workers, dt, steps)
+		popt.Scheme, ranks, popt.Cart.Dims, workers, dt, steps)
 
-	popt := parmd.Options{
-		Scheme: scheme, Cart: cart, Dt: dt, Steps: steps, Workers: workers, TraceEnergies: true,
-		Log: tel.log, NoOverlap: tel.noOverlap,
-	}
 	if tel.fault != "" {
 		class, afterStr, hasAfter := strings.Cut(tel.fault, ":")
 		after := 0
@@ -410,33 +485,20 @@ func runParallel(cfg *workload.Config, model *potential.Model, engineName string
 			}
 			after = n
 		}
-		ft, err := parmd.NewFaultTransport(cart.Size(), class, after)
+		ft, err := parmd.NewFaultTransport(ranks, class, after)
 		if err != nil {
 			return err
 		}
 		popt.Transport = ft
 		fmt.Printf("fault injection: corrupting %s traffic after %d clean messages\n", class, after)
 	}
-	if tel.balance {
-		popt.Balance = &parmd.Balancer{Every: tel.balanceEvery, Threshold: tel.balanceThreshold}
-	}
 	if tel.trace != "" {
 		// ~16 spans per step per rank; keep the whole run in the rings.
 		popt.Recorder = obs.NewRecorder(ranks, 16*(steps+2))
 	}
-	// The registry, the recorder and the step writer are built here, in
-	// one place. -metrics writes the step records and a final registry
-	// snapshot to a file. The flight recorder is the in-memory black box
-	// behind -serve's /history and /anomalies, the -postmortem bundle,
-	// and -model-check's residual detector; it rides the same step
-	// records as an in-process sink, so attaching it costs no
-	// allocation per step. -serve also streams the encoded records to
-	// live /steps subscribers.
-	flightOn := tel.serve != "" || tel.postmortem != "" || tel.modelCheck
 	var metricsFile *os.File
 	var tee *obs.StepTee
-	if tel.metrics != "" || flightOn {
-		popt.Metrics = obs.NewRegistry()
+	if reg != nil {
 		if popt.Recorder == nil {
 			// Phase totals cover the whole run regardless of ring depth;
 			// a flight-recorded run keeps enough ring for /trace and the
@@ -464,17 +526,6 @@ func runParallel(cfg *workload.Config, model *potential.Model, engineName string
 		}
 		popt.StepLog = obs.NewStepWriterTee(sink, tee)
 	}
-	if tel.healthEvery > 0 || tel.parityEvery > 0 {
-		every := tel.healthEvery
-		if every <= 0 {
-			every = tel.parityEvery
-		}
-		hcfg := health.Config{Every: every, ParityEvery: tel.parityEvery, Logger: tel.log, Registry: popt.Metrics}
-		if tel.abortOnFail {
-			hcfg.OnFail = health.ActionRecord | health.ActionLog | health.ActionAbort
-		}
-		popt.Health = health.New(hcfg)
-	}
 	info := map[string]string{
 		"model": model.Name, "engine": engineName,
 		"ranks": strconv.Itoa(ranks), "workers": strconv.Itoa(workers),
@@ -499,7 +550,7 @@ func runParallel(cfg *workload.Config, model *potential.Model, engineName string
 			if err != nil {
 				return
 			}
-			p := m.PredictStep(scheme, float64(cfg.N())/float64(ranks))
+			p := m.PredictStep(popt.Scheme, float64(cfg.N())/float64(ranks))
 			fl.SetPrediction(flight.Prediction{
 				ComputeNs: p.ComputeNs, CommNs: p.CommNs, TotalNs: p.TotalNs,
 			})
@@ -566,25 +617,8 @@ func runParallel(cfg *workload.Config, model *potential.Model, engineName string
 		}
 		return err
 	}
-	elapsed := time.Since(start)
-	fmt.Printf("%8s %14s %14s %14s\n", "step", "PE (eV)", "KE (eV)", "E total (eV)")
-	for s := 0; s < len(res.Energies); s += max(1, every) {
-		e := res.Energies[s]
-		fmt.Printf("%8d %14.4f %14.4f %14.4f\n", s+1, e.Potential, e.Kinetic, e.Total())
-	}
+	printRun(res, time.Since(start), steps, every)
 	maxRank := res.MaxRank()
-	fmt.Printf("\n%.2f ms/step wall; comm %d messages, %.2f MB total\n",
-		elapsed.Seconds()*1e3/float64(max(1, steps)),
-		res.Comm.Messages, float64(res.Comm.Bytes)/1e6)
-	fmt.Println("comm by traffic class (from the runtime's per-tag counters):")
-	for _, class := range []string{"halo", "force", "migrate", "collective"} {
-		s := res.CommByClass[class]
-		if s.Messages == 0 {
-			continue
-		}
-		fmt.Printf("  %-10s %8d msgs  %10.3f MB  %8.1f ms recv wait\n",
-			class, s.Messages, float64(s.Bytes)/1e6, s.Wait.Seconds()*1e3)
-	}
 	fmt.Printf("max rank: %d owned atoms, %d halo atoms imported, %d search candidates\n",
 		maxRank.OwnedAtoms, maxRank.AtomsImported, maxRank.SearchCandidates)
 	if popt.Balance != nil {
@@ -608,14 +642,7 @@ func runParallel(cfg *workload.Config, model *potential.Model, engineName string
 		}
 	}
 	if popt.Health != nil {
-		fmt.Println("\nhealth probes (severity counts over sampled steps):")
-		fmt.Printf("  %-14s %6s %6s %6s %14s\n", "probe", "ok", "warn", "fail", "last value")
-		for _, p := range res.Health.Probes {
-			fmt.Printf("  %-14s %6d %6d %6d %14.3g\n", p.Probe, p.OK, p.Warn, p.Fail, p.Last)
-		}
-		if res.Health.Healthy() {
-			fmt.Println("  all probes ok")
-		}
+		printHealth(res.Health)
 	}
 	if tel.trace != "" {
 		f, err := os.Create(tel.trace)

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"sctuple/internal/comm"
-	"sctuple/internal/obs/health"
 	"sctuple/internal/parmd"
 	"sctuple/internal/potential"
 	"sctuple/internal/workload"
@@ -188,11 +187,10 @@ func runSocketWorker(cfg *workload.Config, model *potential.Model, engineName st
 	if err != nil {
 		return fmt.Errorf("-socket-token: %w", err)
 	}
-	scheme, err := schemeFor(engineName)
+	popt, err := parallelOptions(engineName, steps, dt, ranks, workers, tel, nil)
 	if err != nil {
 		return err
 	}
-	cart := comm.NewCart(ranks)
 	tr, err := comm.DialSocket(comm.SocketConfig{
 		Network:    sock.network,
 		Rendezvous: sock.rendezvous,
@@ -206,30 +204,11 @@ func runSocketWorker(cfg *workload.Config, model *potential.Model, engineName st
 		return fmt.Errorf("rank %d: dial fabric: %w", rank, err)
 	}
 	defer tr.Close()
-	var transport comm.Transport = tr
+	popt.Transport = tr
 	if sock.killRank == rank {
-		transport = &exitTransport{SocketTransport: tr, killStep: sock.killStep}
+		popt.Transport = &exitTransport{SocketTransport: tr, killStep: sock.killStep}
 	}
-
-	popt := parmd.Options{
-		Scheme: scheme, Cart: cart, Dt: dt, Steps: steps, Workers: workers,
-		TraceEnergies: true, Log: tel.log, NoOverlap: tel.noOverlap,
-		Transport: transport, Worker: &parmd.WorkerRank{Rank: rank},
-	}
-	if tel.balance {
-		popt.Balance = &parmd.Balancer{Every: tel.balanceEvery, Threshold: tel.balanceThreshold}
-	}
-	if tel.healthEvery > 0 || tel.parityEvery > 0 {
-		hevery := tel.healthEvery
-		if hevery <= 0 {
-			hevery = tel.parityEvery
-		}
-		hcfg := health.Config{Every: hevery, ParityEvery: tel.parityEvery, Logger: tel.log}
-		if tel.abortOnFail {
-			hcfg.OnFail = health.ActionRecord | health.ActionLog | health.ActionAbort
-		}
-		popt.Health = health.New(hcfg)
-	}
+	popt.Worker = &parmd.WorkerRank{Rank: rank}
 
 	start := time.Now()
 	res, err := parmd.Run(cfg, model, popt)
@@ -239,29 +218,9 @@ func runSocketWorker(cfg *workload.Config, model *potential.Model, engineName st
 	if rank != 0 {
 		return nil
 	}
-	elapsed := time.Since(start)
-	fmt.Printf("%8s %14s %14s %14s\n", "step", "PE (eV)", "KE (eV)", "E total (eV)")
-	for s := 0; s < len(res.Energies); s += max(1, every) {
-		e := res.Energies[s]
-		fmt.Printf("%8d %14.4f %14.4f %14.4f\n", s+1, e.Potential, e.Kinetic, e.Total())
-	}
-	fmt.Printf("\n%.2f ms/step wall; comm %d messages, %.2f MB total (gathered over the wire)\n",
-		elapsed.Seconds()*1e3/float64(max(1, steps)),
-		res.Comm.Messages, float64(res.Comm.Bytes)/1e6)
-	for _, class := range []string{"halo", "force", "migrate", "collective"} {
-		s := res.CommByClass[class]
-		if s.Messages == 0 {
-			continue
-		}
-		fmt.Printf("  %-10s %8d msgs  %10.3f MB  %8.1f ms recv wait\n",
-			class, s.Messages, float64(s.Bytes)/1e6, s.Wait.Seconds()*1e3)
-	}
+	printRun(res, time.Since(start), steps, every)
 	if popt.Health != nil {
-		if res.Health.Healthy() {
-			fmt.Println("health probes: all ok")
-		} else {
-			fmt.Println("health probes: failures recorded")
-		}
+		printHealth(res.Health)
 	}
 	return dumpForcesFile(sock.dump, res)
 }

@@ -22,6 +22,11 @@ const goldenParmdPath = "testdata/golden_parmd.json.gz"
 // atom migrates — asserted below, since the capture relies on owned
 // storage keeping its adoption order on the pre-refactor side.
 // Regenerate with GOLDEN_UPDATE=1 (amd64 only).
+//
+// Each run's per-class message and byte counts are pinned exactly
+// against goldenCommVolume: exchange volume is a pure function of the
+// decomposition, so any change to what crosses rank boundaries shows
+// up here as a count, independent of host timing.
 func TestGoldenParallelBitIdentity(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("bit-exact fixtures are pinned on amd64; GOARCH=%s", runtime.GOARCH)
@@ -62,6 +67,7 @@ func TestGoldenParallelBitIdentity(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
+				checkCommVolume(t, label, res.CommByClass)
 				var migrated int64
 				for _, s := range res.RankStats {
 					migrated += s.AtomsMigrated
@@ -99,6 +105,64 @@ func TestGoldenParallelBitIdentity(t *testing.T) {
 		}
 		if err := fixture.Diff(w, rec); err != nil {
 			t.Errorf("%s: %v", label, err)
+		}
+	}
+}
+
+// classVolume is one traffic class's exact exchange volume over a run.
+type classVolume struct{ msgs, bytes int64 }
+
+// goldenCommVolume holds, per TestGoldenParallelBitIdentity label, the
+// message and byte counts of every traffic class that carries any
+// traffic; every class not listed must carry none. Overlapped and
+// synchronous exchange send the same messages, and FS and Hybrid share
+// the full-shell halo.
+var goldenCommVolume = map[string]map[string]classVolume{
+	"SC-MD/2x1x1/overlap":     sc2x1x1,
+	"SC-MD/2x1x1/sync":        sc2x1x1,
+	"SC-MD/2x2x2/overlap":     sc2x2x2,
+	"SC-MD/2x2x2/sync":        sc2x2x2,
+	"FS-MD/2x1x1/overlap":     fullShell2x1x1,
+	"FS-MD/2x1x1/sync":        fullShell2x1x1,
+	"FS-MD/2x2x2/overlap":     fullShell2x2x2,
+	"FS-MD/2x2x2/sync":        fullShell2x2x2,
+	"Hybrid-MD/2x1x1/overlap": fullShell2x1x1,
+	"Hybrid-MD/2x1x1/sync":    fullShell2x1x1,
+	"Hybrid-MD/2x2x2/overlap": fullShell2x2x2,
+	"Hybrid-MD/2x2x2/sync":    fullShell2x2x2,
+}
+
+var (
+	sc2x1x1 = map[string]classVolume{
+		"halo": {42, 488544}, "force": {42, 244272}, "migrate": {24, 0}, "collective": {26, 208},
+	}
+	sc2x2x2 = map[string]classVolume{
+		"halo": {168, 835968}, "force": {168, 417984}, "migrate": {288, 0}, "collective": {182, 1456},
+	}
+	fullShell2x1x1 = map[string]classVolume{
+		"halo": {84, 3800832}, "force": {84, 1900416}, "migrate": {24, 0}, "collective": {26, 208},
+	}
+	fullShell2x2x2 = map[string]classVolume{
+		"halo": {336, 8606304}, "force": {336, 4303152}, "migrate": {288, 0}, "collective": {182, 1456},
+	}
+)
+
+func checkCommVolume(t *testing.T, label string, got map[string]comm.Stats) {
+	t.Helper()
+	want, ok := goldenCommVolume[label]
+	if !ok {
+		t.Errorf("%s: no golden comm volume", label)
+		return
+	}
+	for class, s := range got {
+		if g := (classVolume{s.Messages, s.Bytes}); g != want[class] {
+			t.Errorf("%s: comm %s = %d msgs / %d B, want %d / %d",
+				label, class, g.msgs, g.bytes, want[class].msgs, want[class].bytes)
+		}
+	}
+	for class := range want {
+		if _, ok := got[class]; !ok {
+			t.Errorf("%s: comm class %s missing from the result", label, class)
 		}
 	}
 }
