@@ -9,7 +9,9 @@
 // lj (Lennard-Jones argon), sw (Stillinger-Weber silicon), torsion
 // (LJ + 4-body dihedral). Engines: sc (SC-MD), fs (FS-MD), hybrid
 // (Hybrid-MD). With -ranks > 1 the run uses the parallel message-
-// passing stack of the paper's benchmarks (in-process ranks).
+// passing stack of the paper's benchmarks: in-process ranks with
+// -transport chan, one OS process per rank with -transport unix or
+// tcp.
 package main
 
 import (
@@ -58,13 +60,11 @@ func main() {
 		analyze    = flag.Bool("analyze", false, "print structure analysis (RDF peaks, angles) after the run")
 		skin       = flag.Float64("skin", 0, "Verlet-list skin (Å) for the hybrid engine; 0 rebuilds every step")
 		workers    = flag.Int("workers", 1, "worker goroutines per force evaluation, serial engines and per rank in parallel runs (0 = GOMAXPROCS)")
-		noOverlap  = flag.Bool("no-overlap", false, "disable overlapping halo communication with interior force computation; parallel runs only")
 		tracePath  = flag.String("trace", "", "write a Chrome trace-event span timeline (one track per rank) to this file; parallel runs only")
 		metricsOut = flag.String("metrics", "", "write per-step JSONL telemetry records and a final metrics snapshot to this file; parallel runs only")
 		serveAddr  = flag.String("serve", "", "serve live telemetry on this address (e.g. :9190): /metrics /healthz /steps /phases /trace + /debug/pprof")
 		voidFrac   = flag.Float64("void", 0, "carve a spherical void of this diameter fraction out of a uniform fluid workload (0 = off); uses -atoms (default 6000)")
-		balance    = flag.Bool("balance", false, "adaptive repartitioning: move slab boundaries toward equal measured force load; parallel runs only")
-		balanceEv  = flag.Int("balance-every", 0, "balance-check cadence in steps (0 = default 20)")
+		balance    = flag.Int("balance", 0, "adaptive repartitioning every N steps: move slab boundaries toward equal measured force load (0 = off); parallel runs only")
 		balanceThr = flag.Float64("balance-threshold", 0, "force-phase imbalance (max/mean) that triggers a repartition (0 = default 1.2)")
 		healthEv   = flag.Int("health", 0, "run invariant health probes every N steps (0 = off); parallel runs only")
 		parityEv   = flag.Int("parity", 0, "SC-vs-FS tuple-parity probe every N steps (0 = off; expensive, implies -health); parallel runs only")
@@ -73,8 +73,7 @@ func main() {
 		faultSpec  = flag.String("fault", "", "inject a message fault: class[:N] corrupts traffic of that class (migrate, halo, force, health, balance) after N clean messages; parallel runs only")
 		modelCheck = flag.Bool("model-check", false, "calibrate the perfmodel in the background and flag steps drifting from its prediction; parallel runs only")
 		logFormat  = flag.String("log", "", "structured run log to stderr: text or json")
-		transport  = flag.String("transport", "chan", "parallel transport: chan (in-process goroutine ranks) or socket (one OS process per rank over a length-prefixed wire protocol)")
-		socketNet  = flag.String("socket-net", "unix", "socket transport network: unix or tcp (loopback)")
+		transport  = flag.String("transport", "chan", "parallel transport: chan (in-process goroutine ranks), unix or tcp (one OS process per rank over a length-prefixed wire protocol on unix sockets or TCP loopback)")
 		dumpForces = flag.String("dump-forces", "", "after a parallel run, write the final per-atom forces as hex float64 bits to this file (for bit-identity comparison across transports)")
 		killRank   = flag.Int("kill-rank", -1, "socket fault drill: this worker rank exits hard at -kill-step, exercising the fleet's failure path (-1 = off)")
 		killStep   = flag.Int("kill-step", 3, "socket fault drill: step at which -kill-rank exits")
@@ -96,27 +95,26 @@ func main() {
 		os.Exit(2)
 	}
 
-	opts := serialOpts{traj: *trajPath, analyze: *analyze, skin: *skin, workers: *workers}
+	opts := serialOpts{traj: *trajPath, analyze: *analyze, skin: *skin, thermostat: *thermostat, workers: *workers}
 	tel := telemetryOpts{
 		trace: *tracePath, metrics: *metricsOut, serve: *serveAddr, log: logger,
 		healthEvery: *healthEv, parityEvery: *parityEv, abortOnFail: *abortFail,
-		noOverlap: *noOverlap,
-		balance:   *balance, balanceEvery: *balanceEv, balanceThreshold: *balanceThr,
+		balanceEvery: *balance, balanceThreshold: *balanceThr,
 		postmortem: *postmortem, fault: *faultSpec, modelCheck: *modelCheck,
 	}
 	sock := socketOpts{
-		transport: *transport, network: *socketNet, dump: *dumpForces,
+		transport: *transport, dump: *dumpForces,
 		killRank: *killRank, killStep: *killStep,
 		workerRank: *workerRank, rendezvous: *rendezvous, token: *sockToken,
 	}
-	if err := run(*modelName, *engineName, *atoms, *cells, *steps, *dt, *temp, *thermostat, *ranks, *every, *seed, *voidFrac, opts, tel, sock); err != nil {
+	if err := run(*modelName, *engineName, *atoms, *cells, *steps, *dt, *temp, *ranks, *every, *seed, *voidFrac, opts, tel, sock); err != nil {
 		fmt.Fprintln(os.Stderr, "scmd:", err)
 		os.Exit(1)
 	}
 }
 
 // telemetryOpts carries the parallel-run observability outputs and
-// exchange-mode selection.
+// the balancer settings.
 type telemetryOpts struct {
 	trace       string
 	metrics     string
@@ -125,10 +123,8 @@ type telemetryOpts struct {
 	healthEvery int
 	parityEvery int
 	abortOnFail bool
-	noOverlap   bool
 
-	balance          bool
-	balanceEvery     int
+	balanceEvery     int // 0 = no balancer
 	balanceThreshold float64
 
 	postmortem string
@@ -136,15 +132,25 @@ type telemetryOpts struct {
 	modelCheck bool
 }
 
-// serialOpts carries the optional serial-run features.
+// serialOpts carries the optional serial-run features; of them, only
+// workers also applies to parallel runs.
 type serialOpts struct {
-	traj    string
-	analyze bool
-	skin    float64
-	workers int
+	traj       string
+	analyze    bool
+	skin       float64
+	thermostat float64
+	workers    int
 }
 
-func run(modelName, engineName string, atoms, cells, steps int, dt, temp, thermostat float64, ranks, every int, seed int64, voidFrac float64, opts serialOpts, tel telemetryOpts, sock socketOpts) error {
+func run(modelName, engineName string, atoms, cells, steps int, dt, temp float64, ranks, every int, seed int64, voidFrac float64, opts serialOpts, tel telemetryOpts, sock socketOpts) error {
+	switch sock.transport {
+	case "chan", "unix", "tcp":
+	default:
+		return fmt.Errorf("-transport %q: want chan, unix or tcp", sock.transport)
+	}
+	if sock.killRank >= 0 && sock.transport == "chan" {
+		return fmt.Errorf("-kill-rank drills a socket fleet; use -transport unix or tcp")
+	}
 	rng := rand.New(rand.NewSource(seed))
 	var (
 		model *potential.Model
@@ -200,24 +206,20 @@ func run(modelName, engineName string, atoms, cells, steps int, dt, temp, thermo
 	fmt.Printf("model %s: %d atoms in %v\n", model.Name, cfg.N(), cfg.Box)
 
 	if ranks > 1 {
-		if opts.traj != "" {
-			return fmt.Errorf("-traj is supported for serial runs only")
+		if opts.traj != "" || opts.analyze || opts.skin != 0 || opts.thermostat != 0 {
+			return fmt.Errorf("-traj, -analyze, -skin and -thermostat are supported for serial runs only")
 		}
 		workers := opts.workers
 		if workers <= 0 {
 			workers = runtime.GOMAXPROCS(0)
 		}
-		switch sock.transport {
-		case "socket":
-			return runSocketMode(cfg, model, engineName, steps, dt, ranks, every, workers, tel, sock)
-		case "chan":
+		if sock.transport == "chan" {
 			return runParallel(cfg, model, engineName, steps, dt, ranks, every, workers, tel, sock.dump)
-		default:
-			return fmt.Errorf("-transport %q: want chan or socket", sock.transport)
 		}
+		return runSocketMode(cfg, model, engineName, steps, dt, ranks, every, workers, tel, sock)
 	}
 	if sock.transport != "chan" || sock.workerRank >= 0 {
-		return fmt.Errorf("-transport socket needs -ranks > 1")
+		return fmt.Errorf("-transport %s needs -ranks > 1", sock.transport)
 	}
 	if tel.trace != "" || tel.metrics != "" {
 		return fmt.Errorf("-trace and -metrics record the parallel stack; use -ranks > 1")
@@ -225,7 +227,7 @@ func run(modelName, engineName string, atoms, cells, steps int, dt, temp, thermo
 	if tel.healthEvery > 0 || tel.parityEvery > 0 {
 		return fmt.Errorf("-health and -parity probe the parallel stack; use -ranks > 1")
 	}
-	if tel.balance {
+	if tel.balanceEvery > 0 {
 		return fmt.Errorf("-balance repartitions the parallel decomposition; use -ranks > 1")
 	}
 	if tel.postmortem != "" || tel.fault != "" || tel.modelCheck {
@@ -248,10 +250,10 @@ func run(modelName, engineName string, atoms, cells, steps int, dt, temp, thermo
 			srv.Close(ctx)
 		}()
 	}
-	return runSerial(cfg, model, engineName, steps, dt, thermostat, every, opts, tel.log)
+	return runSerial(cfg, model, engineName, steps, dt, every, opts, tel.log)
 }
 
-func runSerial(cfg *workload.Config, model *potential.Model, engineName string, steps int, dt, thermostat float64, every int, opts serialOpts, logger *obs.Logger) error {
+func runSerial(cfg *workload.Config, model *potential.Model, engineName string, steps int, dt float64, every int, opts serialOpts, logger *obs.Logger) error {
 	sys, err := md.NewSystem(cfg, model)
 	if err != nil {
 		return err
@@ -285,8 +287,8 @@ func runSerial(cfg *workload.Config, model *potential.Model, engineName string, 
 		return err
 	}
 	sim.Log = logger
-	if thermostat > 0 {
-		sim.Therm = &md.Berendsen{Target: thermostat, Tau: 100}
+	if opts.thermostat > 0 {
+		sim.Therm = &md.Berendsen{Target: opts.thermostat, Tau: 100}
 	}
 	var traj *os.File
 	if opts.traj != "" {
@@ -389,7 +391,7 @@ func printStructure(sys *md.System, model *potential.Model) error {
 }
 
 // parallelOptions builds the parmd options both transports share: the
-// scheme and topology, the run shape and exchange mode, the balancer,
+// scheme and topology, the run shape, the balancer,
 // and the health monitor, whose probe counters land in reg when it is
 // non-nil.
 func parallelOptions(engineName string, steps int, dt float64, ranks, workers int, tel telemetryOpts, reg *obs.Registry) (parmd.Options, error) {
@@ -399,9 +401,9 @@ func parallelOptions(engineName string, steps int, dt float64, ranks, workers in
 	}
 	popt := parmd.Options{
 		Scheme: scheme, Cart: comm.NewCart(ranks), Dt: dt, Steps: steps, Workers: workers,
-		TraceEnergies: true, Log: tel.log, NoOverlap: tel.noOverlap, Metrics: reg,
+		TraceEnergies: true, Log: tel.log, Metrics: reg,
 	}
-	if tel.balance {
+	if tel.balanceEvery > 0 {
 		popt.Balance = &parmd.Balancer{Every: tel.balanceEvery, Threshold: tel.balanceThreshold}
 	}
 	if tel.healthEvery > 0 || tel.parityEvery > 0 {
@@ -409,11 +411,10 @@ func parallelOptions(engineName string, steps int, dt float64, ranks, workers in
 		if every <= 0 {
 			every = tel.parityEvery
 		}
-		hcfg := health.Config{Every: every, ParityEvery: tel.parityEvery, Logger: tel.log, Registry: reg}
-		if tel.abortOnFail {
-			hcfg.OnFail = health.ActionRecord | health.ActionLog | health.ActionAbort
-		}
-		popt.Health = health.New(hcfg)
+		popt.Health = health.New(health.Config{
+			Every: every, ParityEvery: tel.parityEvery, AbortOnFail: tel.abortOnFail,
+			Logger: tel.log, Registry: reg,
+		})
 	}
 	return popt, nil
 }
@@ -636,10 +637,8 @@ func runParallel(cfg *workload.Config, model *potential.Model, engineName string
 		fmt.Printf("  critical path %.1f%% of %.0f ms wall\n",
 			100*float64(obs.CriticalPathNs(res.Phases))/float64(res.Wall.Nanoseconds()),
 			res.Wall.Seconds()*1e3)
-		if !tel.noOverlap {
-			fmt.Printf("  overlap: %.0f%% of the halo-completion window hidden behind interior compute\n",
-				100*res.OverlapFraction())
-		}
+		fmt.Printf("  overlap: %.0f%% of the halo-completion window hidden behind interior compute\n",
+			100*res.OverlapFraction())
 	}
 	if popt.Health != nil {
 		printHealth(res.Health)

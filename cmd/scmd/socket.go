@@ -20,12 +20,11 @@ import (
 	"sctuple/internal/workload"
 )
 
-// socketOpts carries the -transport socket configuration: the
-// user-facing mode flags plus the internal worker flags the launcher
-// passes to the rank processes it spawns.
+// socketOpts carries the -transport configuration: the user-facing
+// mode flags plus the internal worker flags the launcher passes to the
+// rank processes it spawns.
 type socketOpts struct {
-	transport string // "chan" or "socket"
-	network   string // "unix" or "tcp"
+	transport string // "chan", or the socket network "unix" or "tcp"
 	dump      string // -dump-forces path
 	killRank  int    // -kill-rank fault drill (-1 = off)
 	killStep  int    // -kill-step
@@ -35,18 +34,10 @@ type socketOpts struct {
 	token      string // internal: session token (decimal uint64)
 }
 
-// socketDialTimeout bounds rendezvous registration and the peer-mesh
-// handshakes. Generous: a cold fleet start pays process spawn plus Go
-// runtime init per worker.
-const socketDialTimeout = 60 * time.Second
-
-// runSocketMode dispatches -transport socket: worker processes (the
+// runSocketMode dispatches -transport unix|tcp: worker processes (the
 // launcher re-execs this binary with -worker-rank) run one rank each
 // over the wire fabric; the parent process becomes the launcher.
 func runSocketMode(cfg *workload.Config, model *potential.Model, engineName string, steps int, dt float64, ranks, every, workers int, tel telemetryOpts, sock socketOpts) error {
-	if sock.network != "unix" && sock.network != "tcp" {
-		return fmt.Errorf("-socket-net %q: want unix or tcp", sock.network)
-	}
 	// These instruments assume every rank lives in this process
 	// (shared recorders, one registry, one flight ring); wiring them
 	// across processes is future work, so reject rather than silently
@@ -73,7 +64,7 @@ func runSocketLauncher(ranks int, sock socketOpts) error {
 	}
 	defer os.RemoveAll(dir)
 	var ln net.Listener
-	if sock.network == "unix" {
+	if sock.transport == "unix" {
 		ln, err = net.Listen("unix", filepath.Join(dir, "rdv.sock"))
 	} else {
 		ln, err = net.Listen("tcp", "127.0.0.1:0")
@@ -83,9 +74,9 @@ func runSocketLauncher(ranks int, sock socketOpts) error {
 	}
 	token := comm.NewSessionToken()
 	rdvErr := make(chan error, 1)
-	go func() { rdvErr <- comm.ServeRendezvous(ln, ranks, token, socketDialTimeout) }()
+	go func() { rdvErr <- comm.ServeRendezvous(ln, ranks, token, 0) }()
 	fmt.Printf("socket fleet: %d worker processes over %s (rendezvous %s)\n",
-		ranks, sock.network, ln.Addr())
+		ranks, sock.transport, ln.Addr())
 
 	exe, err := os.Executable()
 	if err != nil {
@@ -192,12 +183,11 @@ func runSocketWorker(cfg *workload.Config, model *potential.Model, engineName st
 		return err
 	}
 	tr, err := comm.DialSocket(comm.SocketConfig{
-		Network:    sock.network,
+		Network:    sock.transport,
 		Rendezvous: sock.rendezvous,
 		Rank:       rank,
 		Size:       ranks,
 		Token:      token,
-		Timeout:    socketDialTimeout,
 		Log:        tel.log,
 	})
 	if err != nil {

@@ -17,7 +17,7 @@ import (
 // `scbench analyze` exits non-zero exactly when the recorded run
 // actually broke.
 func AnalyzeReport(w io.Writer, path string) error {
-	rep, err := flight.Analyze(path, flight.DetectConfig{})
+	rep, err := flight.Analyze(path)
 	if err != nil {
 		return err
 	}

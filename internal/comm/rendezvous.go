@@ -19,11 +19,11 @@ import (
 // out-of-range or duplicate rank, or a malformed frame are rejected by
 // closing the connection (the worker sees EOF and fails its setup);
 // the server keeps accepting until the full fleet arrives or the
-// timeout expires. Intended to run on the launcher, concurrently with
-// worker spawning.
+// timeout (zero means setupTimeout) expires. Intended to run on the
+// launcher, concurrently with worker spawning.
 func ServeRendezvous(ln net.Listener, size int, token uint64, timeout time.Duration) error {
 	if timeout <= 0 {
-		timeout = 15 * time.Second
+		timeout = setupTimeout
 	}
 	deadline := time.Now().Add(timeout)
 	if d, ok := ln.(interface{ SetDeadline(time.Time) error }); ok {

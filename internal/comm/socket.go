@@ -83,15 +83,20 @@ type SocketConfig struct {
 	// launches on one host cannot cross-connect.
 	Token uint64
 	// Timeout bounds the whole setup (register, dial with backoff,
-	// handshakes). Zero means 15s.
+	// handshakes). Zero means setupTimeout.
 	Timeout time.Duration
 	// Log, when set, reports fabric failures.
 	Log *obs.Logger
 }
 
+// setupTimeout is the default fleet-setup deadline of DialSocket and
+// ServeRendezvous. Generous: a cold fleet start pays process spawn
+// plus Go runtime init per worker.
+const setupTimeout = 60 * time.Second
+
 func (c *SocketConfig) timeout() time.Duration {
 	if c.Timeout <= 0 {
-		return 15 * time.Second
+		return setupTimeout
 	}
 	return c.Timeout
 }

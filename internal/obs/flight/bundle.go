@@ -178,9 +178,8 @@ func (r *Report) Hard() int {
 // either a postmortem bundle directory or a bare steps.jsonl /
 // scmd -metrics file — and returns the ranked findings. The replay
 // uses the same detector code the live run ran, so a bundle's
-// recorded anomalies are reproducible offline, with different
-// thresholds if the caller tunes det.
-func Analyze(path string, det DetectConfig) (*Report, error) {
+// recorded anomalies are reproducible offline.
+func Analyze(path string) (*Report, error) {
 	stepsPath := path
 	anomPath := ""
 	if fi, err := os.Stat(path); err != nil {
@@ -200,7 +199,7 @@ func Analyze(path string, det DetectConfig) (*Report, error) {
 			ranks = rec.Rank + 1
 		}
 	}
-	rec := New(Config{Ranks: ranks, Detect: det})
+	rec := New(Config{Ranks: ranks})
 	for _, r := range records {
 		rec.ObserveStep(r)
 	}

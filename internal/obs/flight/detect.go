@@ -7,94 +7,51 @@ import (
 	"sctuple/internal/obs"
 )
 
-// DetectConfig tunes the online anomaly detectors. Zero fields take
-// the defaults below; the defaults are deliberately conservative —
-// a detector that cries wolf on ordinary jitter is worse than none.
-type DetectConfig struct {
-	// Warmup is the number of completed steps used to seed the
-	// running statistics before any detector may fire (default 30).
-	Warmup int
-	// WallZWarn/WallZHard are the robust z-score thresholds of the
-	// step-wall-time spike detector (defaults 8 and 16): the per-step
-	// max-over-ranks wall time is scored against an EWMA mean and an
-	// EWMA absolute deviation scaled by 1.4826 (the MAD-to-σ factor
-	// for normal data), floored at 5% of the mean so an ultra-steady
-	// run doesn't turn scheduler noise into anomalies.
-	WallZWarn float64
-	WallZHard float64
-	// ImbalanceWarn fires the imbalance-drift detector when the EWMA
+// The online detectors' thresholds, deliberately conservative — a
+// detector that cries wolf on ordinary jitter is worse than none.
+const (
+	// warmupSteps is the number of completed steps used to seed the
+	// running statistics before any detector may fire.
+	warmupSteps = 30
+	// wallZWarn/wallZHard are the robust z-score thresholds of the
+	// step-wall-time spike detector: the per-step max-over-ranks wall
+	// time is scored against an EWMA mean and an EWMA absolute
+	// deviation scaled by 1.4826 (the MAD-to-σ factor for normal data),
+	// floored at 5% of the mean so an ultra-steady run doesn't turn
+	// scheduler noise into anomalies.
+	wallZWarn = 8
+	wallZHard = 16
+	// imbalanceWarn fires the imbalance-drift detector when the EWMA
 	// of per-step max/mean wall time stays at or above it for
-	// ImbalanceSteps consecutive completed steps (defaults 1.6, 25).
-	ImbalanceWarn  float64
-	ImbalanceSteps int
-	// CommWaitRatio fires the comm-wait growth detector when a fast
+	// imbalanceSteps consecutive completed steps.
+	imbalanceWarn  = 1.6
+	imbalanceSteps = 25
+	// commWaitRatio fires the comm-wait growth detector when a fast
 	// EWMA of the run's comm-wait fraction (comm_wait_ns summed over
-	// ranks / wall summed over ranks) exceeds CommWaitRatio times its
-	// slow EWMA while above CommWaitFloor (defaults 2.5, 0.15) — the
-	// signature of communication degrading mid-run rather than being
+	// ranks / wall summed over ranks) exceeds commWaitRatio times its
+	// slow EWMA while above commWaitFloor — the signature of
+	// communication degrading mid-run rather than being
 	// constitutionally slow.
-	CommWaitRatio float64
-	CommWaitFloor float64
-	// WarnStreak fires the health detector after this many
+	commWaitRatio = 2.5
+	commWaitFloor = 0.15
+	// warnStreak fires the health detector after this many
 	// consecutive sampled health observations that produced new warn
-	// results (default 5). New fail results fire a hard anomaly
-	// immediately.
-	WarnStreak int
-	// ModelBand/ModelSteps tune the measured-vs-perfmodel residual
+	// results. New fail results fire a hard anomaly immediately.
+	warnStreak = 5
+	// modelBand/modelSteps tune the measured-vs-perfmodel residual
 	// detector: once a prediction is set, the EWMA of the measured
 	// max-over-ranks compute (and, separately, comm) phase time is
 	// compared against the model's expectation, and a ratio outside
-	// [1/ModelBand, ModelBand] for ModelSteps consecutive steps fires
-	// (defaults 3.0, 50).
-	ModelBand  float64
-	ModelSteps int
-	// Cooldown is the minimum number of steps between two anomalies
-	// of the same kind (default 50), bounding the event rate of a
+	// [1/modelBand, modelBand] for modelSteps consecutive steps fires.
+	modelBand  = 3.0
+	modelSteps = 50
+	// cooldownSteps is the minimum number of steps between two
+	// anomalies of the same kind, bounding the event rate of a
 	// persistently sick run.
-	Cooldown int
-	// LogSize bounds the retained anomaly ring (default 256).
-	LogSize int
-}
-
-func (c DetectConfig) withDefaults() DetectConfig {
-	if c.Warmup <= 0 {
-		c.Warmup = 30
-	}
-	if c.WallZWarn <= 0 {
-		c.WallZWarn = 8
-	}
-	if c.WallZHard <= 0 {
-		c.WallZHard = 16
-	}
-	if c.ImbalanceWarn <= 0 {
-		c.ImbalanceWarn = 1.6
-	}
-	if c.ImbalanceSteps <= 0 {
-		c.ImbalanceSteps = 25
-	}
-	if c.CommWaitRatio <= 0 {
-		c.CommWaitRatio = 2.5
-	}
-	if c.CommWaitFloor <= 0 {
-		c.CommWaitFloor = 0.15
-	}
-	if c.WarnStreak <= 0 {
-		c.WarnStreak = 5
-	}
-	if c.ModelBand <= 0 {
-		c.ModelBand = 3
-	}
-	if c.ModelSteps <= 0 {
-		c.ModelSteps = 50
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 50
-	}
-	if c.LogSize <= 0 {
-		c.LogSize = 256
-	}
-	return c
-}
+	cooldownSteps = 50
+	// logSize bounds the retained anomaly ring.
+	logSize = 256
+)
 
 // Anomaly kinds. AnomalyKinds lists them for consumers that
 // pre-resolve per-kind state (registry counters, dashboards).
@@ -139,8 +96,8 @@ type anomalyLog struct {
 	counters map[string]*obs.Counter
 }
 
-func (l *anomalyLog) init(reg *obs.Registry, size int) {
-	l.buf = make([]Anomaly, size)
+func (l *anomalyLog) init(reg *obs.Registry) {
+	l.buf = make([]Anomaly, logSize)
 	l.byKind = make(map[string]int64, len(AnomalyKinds))
 	for _, k := range AnomalyKinds {
 		l.byKind[k] = 0
@@ -156,7 +113,6 @@ func (l *anomalyLog) init(reg *obs.Registry, size int) {
 // detectors holds all online detector state: a fixed set of scalars,
 // so running them per completed step costs no allocation.
 type detectors struct {
-	cfg       DetectConfig
 	completed int64
 
 	wallMean float64
@@ -179,8 +135,7 @@ type detectors struct {
 	lastFire map[string]int
 }
 
-func (d *detectors) init(cfg DetectConfig) {
-	d.cfg = cfg
+func (d *detectors) init() {
 	d.lastFire = make(map[string]int, len(AnomalyKinds))
 	for _, k := range AnomalyKinds {
 		d.lastFire[k] = -1 << 30
@@ -188,9 +143,9 @@ func (d *detectors) init(cfg DetectConfig) {
 }
 
 // cooled reports (and records) whether a kind may fire at step —
-// at most one anomaly per kind per Cooldown window.
+// at most one anomaly per kind per cooldownSteps window.
 func (d *detectors) cooled(kind string, step int) bool {
-	if step-d.lastFire[kind] < d.cfg.Cooldown {
+	if step-d.lastFire[kind] < cooldownSteps {
 		return false
 	}
 	d.lastFire[kind] = step
@@ -201,7 +156,7 @@ func (d *detectors) cooled(kind string, step int) bool {
 // r.mu.
 func (d *detectors) step(r *Recorder, acc *stepAcc) {
 	d.completed++
-	warm := d.completed > int64(d.cfg.Warmup)
+	warm := d.completed > warmupSteps
 	x := acc.wallMax
 
 	// Wall-time spike: robust z-score against EWMA mean / EWMA
@@ -219,11 +174,11 @@ func (d *detectors) step(r *Recorder, acc *stepAcc) {
 		}
 		if sigma > 0 {
 			z := (x - d.wallMean) / sigma
-			if z >= d.cfg.WallZWarn && d.cooled(KindWall, acc.step) {
+			if z >= wallZWarn && d.cooled(KindWall, acc.step) {
 				r.emit(Anomaly{
 					Kind: KindWall, Step: acc.step, TNs: acc.tNs,
-					Value: x, Threshold: d.wallMean + d.cfg.WallZWarn*sigma,
-					Score: z, Hard: z >= d.cfg.WallZHard,
+					Value: x, Threshold: d.wallMean + wallZWarn*sigma,
+					Score: z, Hard: z >= wallZHard,
 				})
 			}
 		}
@@ -240,18 +195,18 @@ func (d *detectors) step(r *Recorder, acc *stepAcc) {
 		}
 		const a = 0.1
 		d.imbEwma += a * (imb - d.imbEwma)
-		if warm && d.imbEwma >= d.cfg.ImbalanceWarn {
+		if warm && d.imbEwma >= imbalanceWarn {
 			d.imbStreak++
 		} else {
 			d.imbStreak = 0
 		}
-		if d.imbStreak >= d.cfg.ImbalanceSteps {
+		if d.imbStreak >= imbalanceSteps {
 			d.imbStreak = 0
 			if d.cooled(KindImbalance, acc.step) {
 				r.emit(Anomaly{
 					Kind: KindImbalance, Step: acc.step, TNs: acc.tNs,
-					Value: d.imbEwma, Threshold: d.cfg.ImbalanceWarn,
-					Score: d.imbEwma / d.cfg.ImbalanceWarn,
+					Value: d.imbEwma, Threshold: imbalanceWarn,
+					Score: d.imbEwma / imbalanceWarn,
 				})
 			}
 		}
@@ -266,12 +221,12 @@ func (d *detectors) step(r *Recorder, acc *stepAcc) {
 		}
 		d.cwFast += 0.1 * (frac - d.cwFast)
 		d.cwSlow += 0.01 * (frac - d.cwSlow)
-		if warm && d.cwFast >= d.cfg.CommWaitFloor && d.cwSlow > 0 &&
-			d.cwFast >= d.cfg.CommWaitRatio*d.cwSlow && d.cooled(KindCommWait, acc.step) {
+		if warm && d.cwFast >= commWaitFloor && d.cwSlow > 0 &&
+			d.cwFast >= commWaitRatio*d.cwSlow && d.cooled(KindCommWait, acc.step) {
 			r.emit(Anomaly{
 				Kind: KindCommWait, Step: acc.step, TNs: acc.tNs,
-				Value: d.cwFast, Threshold: d.cfg.CommWaitRatio * d.cwSlow,
-				Score: d.cwFast / (d.cfg.CommWaitRatio * d.cwSlow),
+				Value: d.cwFast, Threshold: commWaitRatio * d.cwSlow,
+				Score: d.cwFast / (commWaitRatio * d.cwSlow),
 			})
 		}
 	}
@@ -293,13 +248,13 @@ func (d *detectors) step(r *Recorder, acc *stepAcc) {
 		} else if ok+warnC+fail > d.hOK+d.hWarn+d.hFail {
 			d.hStreak = 0
 		}
-		if d.hStreak >= d.cfg.WarnStreak {
+		if d.hStreak >= warnStreak {
 			d.hStreak = 0
 			if d.cooled(KindHealth, acc.step) {
 				r.emit(Anomaly{
 					Kind: KindHealth, Step: acc.step, TNs: acc.tNs,
-					Value: float64(warnC), Threshold: float64(d.cfg.WarnStreak),
-					Score: float64(d.cfg.WarnStreak),
+					Value: float64(warnC), Threshold: warnStreak,
+					Score: warnStreak,
 				})
 			}
 		}
@@ -308,7 +263,7 @@ func (d *detectors) step(r *Recorder, acc *stepAcc) {
 
 	// Model residual: measured max-over-ranks compute/comm EWMAs vs
 	// the armed prediction, fired only after the band has been
-	// violated for ModelSteps consecutive steps.
+	// violated for modelSteps consecutive steps.
 	if r.hasPred {
 		if !d.modSeeded {
 			d.compEwma, d.commEwma, d.modSeeded = acc.computeMax, acc.commMax, true
@@ -334,17 +289,17 @@ func (d *detectors) residual(r *Recorder, acc *stepAcc, phase string, measured, 
 	if score < 1 {
 		score = 1 / score
 	}
-	if score < d.cfg.ModelBand {
+	if score < modelBand {
 		return 0
 	}
 	streak++
-	if streak < d.cfg.ModelSteps {
+	if streak < modelSteps {
 		return streak
 	}
 	if d.cooled(KindModel, acc.step) {
 		r.emit(Anomaly{
 			Kind: KindModel, Phase: phase, Step: acc.step, TNs: acc.tNs,
-			Value: ratio, Threshold: d.cfg.ModelBand, Score: score / d.cfg.ModelBand,
+			Value: ratio, Threshold: modelBand, Score: score / modelBand,
 		})
 	}
 	return 0

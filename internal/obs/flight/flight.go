@@ -37,13 +37,6 @@ type Config struct {
 	// Ranks is the number of ranks feeding records — the records-per-
 	// step count the step-completion tracking needs (minimum 1).
 	Ranks int
-	// RawSteps is the raw ring depth in steps (default 1024): the
-	// recorder retains Ranks×RawSteps full records.
-	RawSteps int
-	// AggBuckets is the bucket count of each downsampled ring
-	// (default 512): the 10× ring spans 10×AggBuckets steps, the 100×
-	// ring 100×AggBuckets.
-	AggBuckets int
 	// Registry, when non-nil, receives anomaly.<kind>.total counters.
 	Registry *obs.Registry
 	// Tee, when non-nil, receives one "anomaly" event line per fired
@@ -52,9 +45,16 @@ type Config struct {
 	Tee *obs.StepTee
 	// Health, when non-nil, feeds the warn-streak detector.
 	Health *health.Monitor
-	// Detect tunes the online detectors; zero fields take defaults.
-	Detect DetectConfig
 }
+
+const (
+	// rawSteps is the raw ring depth in steps: the recorder retains
+	// Ranks×rawSteps full records.
+	rawSteps = 1024
+	// aggBuckets is the bucket count of each downsampled ring: the 10×
+	// ring spans 10×aggBuckets steps, the 100× ring 100×aggBuckets.
+	aggBuckets = 512
+)
 
 // fieldClass buckets a field for the model-residual detector: which
 // side of the perfmodel's compute/comm decomposition it lands on.
@@ -167,8 +167,8 @@ type aggRing struct {
 	buckets []aggBucket
 }
 
-func newAggRing(res, buckets int) *aggRing {
-	r := &aggRing{res: res, buckets: make([]aggBucket, buckets)}
+func newAggRing(res int) *aggRing {
+	r := &aggRing{res: res, buckets: make([]aggBucket, aggBuckets)}
 	for i := range r.buckets {
 		r.buckets[i].start = -1
 	}
@@ -243,31 +243,23 @@ type Recorder struct {
 	hasPred bool
 }
 
-// New builds a Recorder. Zero Config sizes take defaults (1024 raw
-// steps, 512 aggregate buckets per ring).
+// New builds a Recorder.
 func New(cfg Config) *Recorder {
 	if cfg.Ranks < 1 {
 		cfg.Ranks = 1
 	}
-	if cfg.RawSteps <= 0 {
-		cfg.RawSteps = 1024
-	}
-	if cfg.AggBuckets <= 0 {
-		cfg.AggBuckets = 512
-	}
-	cfg.Detect = cfg.Detect.withDefaults()
 	r := &Recorder{
 		cfg:    cfg,
 		ft:     newFieldTable(),
-		raw:    make([]rawRec, cfg.RawSteps*cfg.Ranks),
-		res10:  newAggRing(10, cfg.AggBuckets),
-		res100: newAggRing(100, cfg.AggBuckets),
+		raw:    make([]rawRec, rawSteps*cfg.Ranks),
+		res10:  newAggRing(10),
+		res100: newAggRing(100),
 	}
 	for i := range r.pending {
 		r.pending[i].step = -1
 	}
-	r.det.init(cfg.Detect)
-	r.log.init(cfg.Registry, cfg.Detect.LogSize)
+	r.det.init()
+	r.log.init(cfg.Registry)
 	return r
 }
 

@@ -19,28 +19,29 @@ func mkRec(step, rank int, wallNs int64, phases, counters map[string]int64) obs.
 }
 
 func TestHistoryRawRing(t *testing.T) {
-	r := New(Config{Ranks: 1, RawSteps: 4})
-	for step := 0; step < 6; step++ {
+	r := New(Config{Ranks: 1})
+	const steps = rawSteps + 2 // the ring wraps twice
+	for step := 0; step < steps; step++ {
 		r.ObserveStep(mkRec(step, 0, int64(1000+step),
 			map[string]int64{"halo": int64(10 * (step + 1))},
 			map[string]int64{"comm_wait_ns": int64(step)}))
 	}
 	snap := r.History(1, nil)
-	if snap.Ranks != 1 || len(snap.Records) != 4 {
-		t.Fatalf("raw snapshot: ranks=%d records=%d, want 1/4", snap.Ranks, len(snap.Records))
+	if snap.Ranks != 1 || len(snap.Records) != rawSteps {
+		t.Fatalf("raw snapshot: ranks=%d records=%d, want 1/%d", snap.Ranks, len(snap.Records), rawSteps)
 	}
-	first, last := snap.Records[0], snap.Records[3]
-	if first.Step != 2 || last.Step != 5 {
-		t.Fatalf("ring window [%d..%d], want [2..5]", first.Step, last.Step)
+	first, last := snap.Records[0], snap.Records[rawSteps-1]
+	if first.Step != 2 || last.Step != steps-1 {
+		t.Fatalf("ring window [%d..%d], want [2..%d]", first.Step, last.Step, steps-1)
 	}
-	if last.WallNs != 1005 || last.TNs != 6_000_000 {
-		t.Errorf("last record wall=%d t=%d, want 1005/6000000", last.WallNs, last.TNs)
+	if last.WallNs != 1000+steps-1 || last.TNs != steps*1_000_000 {
+		t.Errorf("last record wall=%d t=%d, want %d/%d", last.WallNs, last.TNs, 1000+steps-1, steps*1_000_000)
 	}
-	if last.PhaseNs["halo"] != 60 || last.Counters["comm_wait_ns"] != 5 {
+	if last.PhaseNs["halo"] != 10*steps || last.Counters["comm_wait_ns"] != steps-1 {
 		t.Errorf("last record fields: %+v %+v", last.PhaseNs, last.Counters)
 	}
-	if got := r.Records(); got != 6 {
-		t.Errorf("Records()=%d, want 6", got)
+	if got := r.Records(); got != steps {
+		t.Errorf("Records()=%d, want %d", got, steps)
 	}
 
 	// Field filtering: keep the phase, drop the counter.
@@ -52,10 +53,14 @@ func TestHistoryRawRing(t *testing.T) {
 }
 
 func TestHistoryAggregates(t *testing.T) {
-	r := New(Config{Ranks: 1, AggBuckets: 8})
-	for step := 0; step < 30; step++ {
-		r.ObserveStep(mkRec(step, 0, int64(step), nil, nil))
+	r := New(Config{Ranks: 1})
+	step := 0
+	feed := func(upTo int) {
+		for ; step < upTo; step++ {
+			r.ObserveStep(mkRec(step, 0, int64(step), nil, nil))
+		}
 	}
+	feed(30)
 	snap := r.History(10, nil)
 	if len(snap.Buckets) != 3 {
 		t.Fatalf("res-10 buckets=%d, want 3", len(snap.Buckets))
@@ -77,16 +82,30 @@ func TestHistoryAggregates(t *testing.T) {
 	if got := r.History(100, nil); len(got.Buckets) != 1 || got.Buckets[0].Count != 30 {
 		t.Errorf("res-100 snapshot: %+v", got.Buckets)
 	}
+
+	// Past 10×aggBuckets steps the 10× ring wraps and keeps the newest
+	// aggBuckets buckets; the 100× ring, ten times longer, still holds
+	// every step.
+	const end = 10*aggBuckets + 30
+	feed(end)
+	snap = r.History(10, nil)
+	if len(snap.Buckets) != aggBuckets {
+		t.Fatalf("wrapped res-10 buckets=%d, want %d", len(snap.Buckets), aggBuckets)
+	}
+	if first, last := snap.Buckets[0], snap.Buckets[aggBuckets-1]; first.Step != 30 || last.Step != end-10 {
+		t.Errorf("wrapped res-10 window [%d..%d], want [30..%d]", first.Step, last.Step, end-10)
+	}
+	if got := r.History(100, nil); len(got.Buckets) != end/100+1 || got.Buckets[0].Step != 0 {
+		t.Errorf("res-100 ring after %d steps: %d buckets from step %d, want %d from 0",
+			end, len(got.Buckets), got.Buckets[0].Step, end/100+1)
+	}
 }
 
 // spikeRecorder feeds a steady 2-rank run with one huge wall-time
-// spike at step 40 — the canonical wall-anomaly fixture shared by the
-// detector and bundle tests.
+// spike at step 40, past the warm-up — the canonical wall-anomaly
+// fixture shared by the detector and bundle tests.
 func spikeRecorder(reg *obs.Registry) *Recorder {
-	r := New(Config{
-		Ranks: 2, Registry: reg,
-		Detect: DetectConfig{Warmup: 10, Cooldown: 5},
-	})
+	r := New(Config{Ranks: 2, Registry: reg})
 	for step := 0; step < 60; step++ {
 		wall := int64(1_000_000)
 		if step == 40 {
@@ -110,7 +129,7 @@ func TestWallSpikeDetector(t *testing.T) {
 	if a.Kind != KindWall || a.Step != 40 || !a.Hard {
 		t.Errorf("anomaly = %+v, want hard wall at step 40", a)
 	}
-	if a.Score < 16 {
+	if a.Score < wallZHard {
 		t.Errorf("spike z-score %.1f, want >= hard threshold", a.Score)
 	}
 	if got := reg.Counter("anomaly.wall.total").Load(); got != 1 {
@@ -122,12 +141,9 @@ func TestWallSpikeDetector(t *testing.T) {
 }
 
 func TestImbalanceDetector(t *testing.T) {
-	r := New(Config{
-		Ranks:  2,
-		Detect: DetectConfig{Warmup: 5, ImbalanceWarn: 1.6, ImbalanceSteps: 5, Cooldown: 10},
-	})
+	r := New(Config{Ranks: 2})
 	// rank 1 takes 5× rank 0: imbalance max/mean = 5/3 ≈ 1.67.
-	for step := 0; step < 40; step++ {
+	for step := 0; step < 80; step++ {
 		r.ObserveStep(mkRec(step, 0, 1_000_000, nil, nil))
 		r.ObserveStep(mkRec(step, 1, 5_000_000, nil, nil))
 	}
@@ -136,16 +152,19 @@ func TestImbalanceDetector(t *testing.T) {
 		t.Fatalf("no imbalance anomaly fired: %+v", snap.Anomalies)
 	}
 	a := *snap.Last
-	if a.Kind != KindImbalance || a.Value < 1.6 {
+	if a.Kind != KindImbalance || a.Value < imbalanceWarn {
 		t.Errorf("imbalance anomaly = %+v", a)
+	}
+	// The streak starts at the first warm step and fires once it is
+	// imbalanceSteps long; the cooldown suppresses the next streak.
+	if want := warmupSteps + imbalanceSteps - 1; a.Step != want || snap.ByKind[KindImbalance] != 1 {
+		t.Errorf("imbalance fired %d times, last at step %d; want once at step %d",
+			snap.ByKind[KindImbalance], a.Step, want)
 	}
 }
 
 func TestCommWaitDetector(t *testing.T) {
-	r := New(Config{
-		Ranks:  1,
-		Detect: DetectConfig{Warmup: 5, Cooldown: 10},
-	})
+	r := New(Config{Ranks: 1})
 	step := 0
 	feed := func(n int, waitNs int64) {
 		for i := 0; i < n; i++ {
@@ -154,25 +173,25 @@ func TestCommWaitDetector(t *testing.T) {
 			step++
 		}
 	}
-	feed(20, 50_000)  // 5% wait: healthy baseline
+	feed(warmupSteps+10, 50_000) // 5% wait: healthy baseline
+	if n := r.Anomalies().Total; n != 0 {
+		t.Fatalf("steady comm wait produced %d anomalies", n)
+	}
 	feed(10, 800_000) // 80% wait: comm degraded mid-run
 	snap := r.Anomalies()
 	if snap.ByKind[KindCommWait] == 0 {
 		t.Fatalf("no comm_wait anomaly fired: %+v", snap.Anomalies)
 	}
-	if a := *snap.Last; a.Value < 0.15 {
+	if a := *snap.Last; a.Value < commWaitFloor || a.Step < warmupSteps+10 {
 		t.Errorf("comm_wait anomaly = %+v, want fast EWMA above floor", a)
 	}
 }
 
 func TestModelResidualDetector(t *testing.T) {
-	r := New(Config{
-		Ranks:  1,
-		Detect: DetectConfig{Warmup: 5, ModelBand: 3, ModelSteps: 5, Cooldown: 10},
-	})
+	r := New(Config{Ranks: 1})
 	r.SetPrediction(Prediction{ComputeNs: 1_000_000, CommNs: 500_000})
 	// Measured force time 5× the model's expectation, comm on-model.
-	for step := 0; step < 30; step++ {
+	for step := 0; step < 100; step++ {
 		r.ObserveStep(mkRec(step, 0, 6_000_000,
 			map[string]int64{"force:interior": 5_000_000, "halo": 500_000}, nil))
 	}
@@ -181,14 +200,18 @@ func TestModelResidualDetector(t *testing.T) {
 		t.Fatalf("no model anomaly fired: %+v", snap.Anomalies)
 	}
 	a := *snap.Last
-	if a.Phase != "compute" || a.Value < 3 {
+	if a.Phase != "compute" || a.Value < modelBand {
 		t.Errorf("model anomaly = %+v, want compute residual ratio >= band", a)
+	}
+	if want := warmupSteps + modelSteps - 1; a.Step != want || snap.ByKind[KindModel] != 1 {
+		t.Errorf("model fired %d times, last at step %d; want once at step %d (after a %d-step streak)",
+			snap.ByKind[KindModel], a.Step, want, modelSteps)
 	}
 }
 
 func TestHealthDetector(t *testing.T) {
 	mon := health.New(health.Config{Every: 1})
-	r := New(Config{Ranks: 1, Detect: DetectConfig{Warmup: 5, Cooldown: 10}, Health: mon})
+	r := New(Config{Ranks: 1, Health: mon})
 	for step := 0; step < 10; step++ {
 		mon.ObserveAtomCount(step, 100, 100)
 		r.ObserveStep(mkRec(step, 0, 1_000_000, nil, nil))
@@ -204,6 +227,30 @@ func TestHealthDetector(t *testing.T) {
 	}
 	if a := *snap.Last; !a.Hard || a.Step != 10 {
 		t.Errorf("health anomaly = %+v, want hard at step 10", a)
+	}
+
+	// A streak of warnStreak sampled steps with new warns is a soft
+	// anomaly; it starts once the fail's cooldown has passed.
+	const pe0, ke0 = -100.0, 10.0
+	mon.ObserveEnergy(10, pe0, ke0) // energy baseline
+	step := 11
+	for ; step < 10+cooldownSteps; step++ {
+		r.ObserveStep(mkRec(step, 0, 1_000_000, nil, nil))
+	}
+	for i := 0; i < warnStreak; i++ {
+		mon.ObserveEnergy(step, pe0+0.05*ke0, ke0) // drift 5e-2 of KE₀: warn
+		r.ObserveStep(mkRec(step, 0, 1_000_000, nil, nil))
+		if got := r.Anomalies().ByKind[KindHealth]; i < warnStreak-1 && got != 1 {
+			t.Fatalf("warn %d of %d fired early: %+v", i+1, warnStreak, r.Anomalies().Anomalies)
+		}
+		step++
+	}
+	snap = r.Anomalies()
+	if snap.ByKind[KindHealth] != 2 {
+		t.Fatalf("warn streak did not fire: %+v", snap.Anomalies)
+	}
+	if a := *snap.Last; a.Hard || a.Step != step-1 || a.Threshold != warnStreak {
+		t.Errorf("warn-streak anomaly = %+v, want soft at step %d", a, step-1)
 	}
 }
 
@@ -241,16 +288,17 @@ func contains(s, sub string) bool {
 }
 
 func TestAnomalyLogBounded(t *testing.T) {
-	r := New(Config{Ranks: 1, Detect: DetectConfig{LogSize: 4}})
-	for i := 0; i < 10; i++ {
+	r := New(Config{Ranks: 1})
+	const n = logSize + 6
+	for i := 0; i < n; i++ {
 		r.RecordAbort(i, "x")
 	}
 	snap := r.Anomalies()
-	if snap.Total != 10 || len(snap.Anomalies) != 4 {
-		t.Fatalf("total=%d retained=%d, want 10/4", snap.Total, len(snap.Anomalies))
+	if snap.Total != n || len(snap.Anomalies) != logSize {
+		t.Fatalf("total=%d retained=%d, want %d/%d", snap.Total, len(snap.Anomalies), n, logSize)
 	}
-	if snap.Anomalies[0].Step != 6 || snap.Last.Step != 9 {
-		t.Errorf("retained window [%d..%d], want [6..9]", snap.Anomalies[0].Step, snap.Last.Step)
+	if snap.Anomalies[0].Step != 6 || snap.Last.Step != n-1 {
+		t.Errorf("retained window [%d..%d], want [6..%d]", snap.Anomalies[0].Step, snap.Last.Step, n-1)
 	}
 }
 
@@ -258,7 +306,7 @@ func TestObserveStepZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
-	r := New(Config{Ranks: 2, RawSteps: 64})
+	r := New(Config{Ranks: 2})
 	phases := map[string]int64{"force:interior": 900_000, "halo": 50_000, "search": 20_000}
 	counters := map[string]int64{"comm_wait_ns": 40_000, "halo.bytes": 4096}
 	step := 0
@@ -270,7 +318,7 @@ func TestObserveStepZeroAlloc(t *testing.T) {
 	}
 	// Warm-up: intern every field and roll once through the raw ring so
 	// steady state is genuinely steady.
-	for i := 0; i < 100; i++ {
+	for i := 0; i < rawSteps+100; i++ {
 		ingest()
 	}
 	if allocs := testing.AllocsPerRun(50, ingest); allocs != 0 {
@@ -313,7 +361,7 @@ func TestBundleWriteAnalyze(t *testing.T) {
 	}
 
 	// Offline replay over the bundle reproduces the live detection.
-	rep, err := Analyze(dir, DetectConfig{Warmup: 10, Cooldown: 5})
+	rep, err := Analyze(dir)
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
@@ -339,7 +387,7 @@ func TestBundleWriteAnalyze(t *testing.T) {
 	}
 
 	// A bare steps.jsonl (no bundle directory) analyzes too.
-	rep2, err := Analyze(filepath.Join(dir, BundleSteps), DetectConfig{Warmup: 10, Cooldown: 5})
+	rep2, err := Analyze(filepath.Join(dir, BundleSteps))
 	if err != nil {
 		t.Fatalf("Analyze(steps.jsonl): %v", err)
 	}

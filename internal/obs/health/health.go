@@ -8,13 +8,14 @@
 // tuple-count parity on sampled steps.
 //
 // Every probe observation classifies into a severity (OK, Warn, Fail)
-// against configurable thresholds, and each severity maps to a set of
-// actions: record into the probe summary (and a metrics Registry),
-// emit a structured log event through the obs.Logger seam, or abort
-// the run. Abort is cooperative and collective — a failing probe arms
-// the monitor, and the simulation loop turns the armed state into an
-// error at a global synchronization point, so no rank ever exits an
-// exchange protocol unilaterally (which would deadlock its peers).
+// against fixed thresholds. Every observation is recorded into the
+// probe summary (and a metrics Registry, when one is configured); warn
+// and fail observations also emit a structured log event through the
+// obs.Logger seam; and with AbortOnFail a fail aborts the run. Abort
+// is cooperative and collective — a failing probe arms the monitor,
+// and the simulation loop turns the armed state into an error at a
+// global synchronization point, so no rank ever exits an exchange
+// protocol unilaterally (which would deadlock its peers).
 //
 // A nil *Monitor is a valid disabled monitor: Due and ParityDue return
 // false after a single nil test, every Observe call is a no-op, and
@@ -54,22 +55,18 @@ func (s Severity) String() string {
 	return fmt.Sprintf("severity#%d", uint8(s))
 }
 
-// Action is a bit set of responses to a probe observation.
-type Action uint8
-
-// The three actions a severity can trigger.
+// The probe thresholds.
 const (
-	// ActionRecord counts the observation in the probe summary and
-	// exports it to the configured Registry.
-	ActionRecord Action = 1 << iota
-	// ActionLog emits a structured event through the configured Logger
-	// (warn severity at Warn level, fail at Error; ok observations log
-	// at Debug only).
-	ActionLog
-	// ActionAbort arms the monitor so the simulation loop aborts the
-	// run at its next collective synchronization point. Only meaningful
-	// on OnFail.
-	ActionAbort
+	// energyWarn and energyFail bound the relative total-energy drift
+	// |E(t) − E₀| / KE₀ of an NVE run: a healthy velocity-Verlet
+	// trajectory at MD time steps oscillates a few 1e-3 of KE₀ around
+	// E₀, a percent-level excursion deserves a look, and a tenth of
+	// the kinetic scale means the integration is broken.
+	energyWarn, energyFail = 1e-2, 1e-1
+	// momentumWarn and momentumFail bound the total linear momentum
+	// drift |P(t) − P₀| relative to the Σ m|v| momentum scale at the
+	// baseline.
+	momentumWarn, momentumFail = 1e-9, 1e-5
 )
 
 // Config tunes a Monitor. The zero value of any field selects its
@@ -83,29 +80,17 @@ type Config struct {
 	// parity probe (it gathers the configuration and re-enumerates both
 	// patterns serially). 0 disables parity probing.
 	ParityEvery int
+	// AbortOnFail arms the monitor on the first failing observation so
+	// the simulation loop aborts the run at its next collective
+	// synchronization point. Off, a fail is recorded and logged only.
+	AbortOnFail bool
 
-	// EnergyWarn and EnergyFail bound the relative total-energy drift
-	// |E(t) − E₀| / KE₀ of an NVE run. Defaults 1e-2 and 1e-1: a
-	// healthy velocity-Verlet trajectory at MD time steps oscillates a
-	// few 1e-3 of KE₀ around E₀, a percent-level excursion deserves a
-	// look, and a tenth of the kinetic scale means the integration is
-	// broken.
-	EnergyWarn, EnergyFail float64
-	// MomentumWarn and MomentumFail bound the total linear momentum
-	// drift |P(t) − P₀| relative to the Σ m|v| momentum scale at the
-	// baseline. Defaults 1e-9 and 1e-5.
-	MomentumWarn, MomentumFail float64
-
-	// OnWarn and OnFail select the actions of each severity. Defaults:
-	// OnWarn = Record|Log, OnFail = Record|Log (abort is opt-in).
-	OnWarn, OnFail Action
-
-	// Logger receives structured probe events under ActionLog (nil
-	// drops them).
+	// Logger receives a structured event for every warn and fail
+	// observation (nil drops them).
 	Logger *obs.Logger
 	// Registry receives per-probe severity counters
 	// (health.<probe>.{ok,warn,fail}) and last-value gauges
-	// (health.<probe>.value) under ActionRecord (nil drops them).
+	// (health.<probe>.value) for every observation (nil drops them).
 	Registry *obs.Registry
 }
 
@@ -171,24 +156,6 @@ func New(cfg Config) *Monitor {
 	if cfg.Every <= 0 {
 		cfg.Every = 1
 	}
-	if cfg.EnergyWarn <= 0 {
-		cfg.EnergyWarn = 1e-2
-	}
-	if cfg.EnergyFail <= 0 {
-		cfg.EnergyFail = 1e-1
-	}
-	if cfg.MomentumWarn <= 0 {
-		cfg.MomentumWarn = 1e-9
-	}
-	if cfg.MomentumFail <= 0 {
-		cfg.MomentumFail = 1e-5
-	}
-	if cfg.OnWarn == 0 {
-		cfg.OnWarn = ActionRecord | ActionLog
-	}
-	if cfg.OnFail == 0 {
-		cfg.OnFail = ActionRecord | ActionLog
-	}
 	return &Monitor{cfg: cfg, probes: make(map[string]*probeState)}
 }
 
@@ -232,7 +199,7 @@ func (m *Monitor) ObserveEnergy(step int, pe, ke float64) {
 		}
 		m.baselineSet = true
 		m.mu.Unlock()
-		m.observe(ProbeEnergyDrift, step, -1, 0, m.cfg.EnergyWarn, m.cfg.EnergyFail)
+		m.observe(ProbeEnergyDrift, step, -1, 0, energyWarn, energyFail)
 		return
 	}
 	drift := math.Abs((pe+ke)-m.e0) / m.keDenom
@@ -240,7 +207,7 @@ func (m *Monitor) ObserveEnergy(step int, pe, ke float64) {
 		drift = math.Inf(1)
 	}
 	m.mu.Unlock()
-	m.observe(ProbeEnergyDrift, step, -1, drift, m.cfg.EnergyWarn, m.cfg.EnergyFail)
+	m.observe(ProbeEnergyDrift, step, -1, drift, energyWarn, energyFail)
 }
 
 // ObserveMomentum feeds one sampled total linear momentum (amu·Å/fs
@@ -252,16 +219,14 @@ func (m *Monitor) ObserveMomentum(step int, px, py, pz, scale float64) {
 		return
 	}
 	m.mu.Lock()
-	st, ok := m.probes[ProbeMomentum]
-	_ = st
-	if !ok {
+	if _, ok := m.probes[ProbeMomentum]; !ok {
 		m.p0 = [3]float64{px, py, pz}
 		m.pScale = math.Abs(scale)
 		if m.pScale == 0 {
 			m.pScale = 1
 		}
 		m.mu.Unlock()
-		m.observe(ProbeMomentum, step, -1, 0, m.cfg.MomentumWarn, m.cfg.MomentumFail)
+		m.observe(ProbeMomentum, step, -1, 0, momentumWarn, momentumFail)
 		return
 	}
 	dx, dy, dz := px-m.p0[0], py-m.p0[1], pz-m.p0[2]
@@ -270,7 +235,7 @@ func (m *Monitor) ObserveMomentum(step int, px, py, pz, scale float64) {
 		drift = math.Inf(1)
 	}
 	m.mu.Unlock()
-	m.observe(ProbeMomentum, step, -1, drift, m.cfg.MomentumWarn, m.cfg.MomentumFail)
+	m.observe(ProbeMomentum, step, -1, drift, momentumWarn, momentumFail)
 }
 
 // ObserveAtomCount feeds one sampled global atom count against the
@@ -323,8 +288,8 @@ func (m *Monitor) observeExact(probe string, step, rank int, value float64, pass
 	m.observe(probe, step, rank, math.Abs(value)+1, 0.5, 0.5)
 }
 
-// observe classifies one observation and applies the configured
-// actions.
+// observe classifies one observation, records it, logs warns and
+// fails, and arms the abort on a fail under AbortOnFail.
 func (m *Monitor) observe(probe string, step, rank int, value, warnTh, failTh float64) {
 	sev := OK
 	switch {
@@ -332,16 +297,6 @@ func (m *Monitor) observe(probe string, step, rank int, value, warnTh, failTh fl
 		sev = Fail
 	case value >= warnTh:
 		sev = Warn
-	}
-
-	var actions Action
-	switch sev {
-	case Warn:
-		actions = m.cfg.OnWarn
-	case Fail:
-		actions = m.cfg.OnFail
-	default:
-		actions = ActionRecord
 	}
 
 	m.mu.Lock()
@@ -363,28 +318,26 @@ func (m *Monitor) observe(probe string, step, rank int, value, warnTh, failTh fl
 		st.worst = value
 	}
 	st.last, st.lastStep, st.lastSevere = value, step, sev
-	if sev == Fail && actions&ActionAbort != 0 && m.abort == nil {
+	if sev == Fail && m.cfg.AbortOnFail && m.abort == nil {
 		m.abort = &FailError{Probe: probe, Step: step, Rank: rank, Value: value, Threshold: failTh}
 	}
 	m.mu.Unlock()
 
-	if actions&ActionRecord != 0 && m.cfg.Registry != nil {
+	if m.cfg.Registry != nil {
 		m.cfg.Registry.Counter("health." + probe + "." + sev.String()).Inc()
 		m.cfg.Registry.Gauge("health." + probe + ".value").Set(value)
 	}
-	if actions&ActionLog != 0 {
-		args := []any{"probe", probe, "severity", sev.String(), "step", step, "value", value}
-		if rank >= 0 {
-			args = append(args, "rank", rank)
-		}
-		switch sev {
-		case Fail:
-			m.cfg.Logger.Error("health probe", append(args, "threshold", failTh)...)
-		case Warn:
-			m.cfg.Logger.Warn("health probe", append(args, "threshold", warnTh)...)
-		default:
-			m.cfg.Logger.Debug("health probe", args...)
-		}
+	if sev == OK {
+		return
+	}
+	args := []any{"probe", probe, "severity", sev.String(), "step", step, "value", value}
+	if rank >= 0 {
+		args = append(args, "rank", rank)
+	}
+	if sev == Fail {
+		m.cfg.Logger.Error("health probe", append(args, "threshold", failTh)...)
+	} else {
+		m.cfg.Logger.Warn("health probe", append(args, "threshold", warnTh)...)
 	}
 }
 

@@ -59,13 +59,13 @@ func TestCadence(t *testing.T) {
 
 // TestEnergyEscalation injects a drifting total energy — the signature
 // of a broken integrator — and asserts the ok → warn → fail
-// escalation against the configured thresholds.
+// escalation against the energy thresholds (warn 1e-2, fail 1e-1).
 func TestEnergyEscalation(t *testing.T) {
-	m := New(Config{EnergyWarn: 1e-3, EnergyFail: 1e-1})
+	m := New(Config{})
 	const pe0, ke0 = -100.0, 10.0
-	m.ObserveEnergy(0, pe0, ke0) // baseline
-	m.ObserveEnergy(1, pe0+1e-4*ke0, ke0)
-	m.ObserveEnergy(2, pe0+1e-2*ke0, ke0) // drift 1e-2 of KE₀: warn
+	m.ObserveEnergy(0, pe0, ke0)          // baseline
+	m.ObserveEnergy(1, pe0+5e-3*ke0, ke0) // drift 5e-3 of KE₀: ok
+	m.ObserveEnergy(2, pe0+5e-2*ke0, ke0) // drift 5e-2 of KE₀: warn
 	m.ObserveEnergy(3, pe0+ke0, ke0)      // drift 1.0 of KE₀: fail
 
 	p := m.Summary().Probe(ProbeEnergyDrift)
@@ -83,7 +83,7 @@ func TestEnergyEscalation(t *testing.T) {
 	}
 	// Abort was not configured, so even a fail does not arm it.
 	if m.AbortPending() {
-		t.Error("abort armed without ActionAbort")
+		t.Error("abort armed without AbortOnFail")
 	}
 }
 
@@ -98,11 +98,13 @@ func TestNonFiniteEnergyFails(t *testing.T) {
 	}
 }
 
+// TestMomentumDrift classifies relative momentum drift against the
+// momentum thresholds (warn 1e-9, fail 1e-5).
 func TestMomentumDrift(t *testing.T) {
-	m := New(Config{MomentumWarn: 1e-6, MomentumFail: 1e-3})
+	m := New(Config{})
 	m.ObserveMomentum(0, 0, 0, 0, 100)    // baseline, scale Σm|v| = 100
-	m.ObserveMomentum(1, 1e-3, 0, 0, 100) // relative 1e-5: warn
-	m.ObserveMomentum(2, 0.5, 0, 0, 100)  // relative 5e-3: fail
+	m.ObserveMomentum(1, 1e-5, 0, 0, 100) // relative 1e-7: warn
+	m.ObserveMomentum(2, 1e-2, 0, 0, 100) // relative 1e-4: fail
 	p := m.Summary().Probe(ProbeMomentum)
 	if p.OK != 1 || p.Warn != 1 || p.Fail != 1 {
 		t.Errorf("momentum: ok=%d warn=%d fail=%d, want 1/1/1", p.OK, p.Warn, p.Fail)
@@ -127,10 +129,10 @@ func TestExactProbes(t *testing.T) {
 	}
 }
 
-// TestAbortOnFail: with ActionAbort configured on fail, the first
-// failing probe arms the abort and AbortError carries its context.
+// TestAbortOnFail: with AbortOnFail, the first failing probe arms the
+// abort and AbortError carries its context.
 func TestAbortOnFail(t *testing.T) {
-	m := New(Config{OnFail: ActionRecord | ActionAbort})
+	m := New(Config{AbortOnFail: true})
 	m.ObserveEnergy(0, -100, 10)
 	if m.AbortPending() {
 		t.Fatal("abort armed by the baseline observation")
@@ -138,7 +140,7 @@ func TestAbortOnFail(t *testing.T) {
 	m.ObserveHaloMirror(7, 3, 1, 2) // rank 3 fails at step 7
 	m.ObserveEnergy(8, -100+100, 10)
 	if !m.AbortPending() {
-		t.Fatal("fail with ActionAbort did not arm the abort")
+		t.Fatal("fail with AbortOnFail did not arm the abort")
 	}
 	err := m.AbortError()
 	fe, ok := err.(*FailError)
@@ -156,21 +158,26 @@ func TestAbortOnFail(t *testing.T) {
 	}
 }
 
-// TestActionsLogAndRecord: warn/fail observations emit structured log
-// records with probe/step context and export severity counters plus a
-// last-value gauge to the registry.
+// TestActionsLogAndRecord: every observation exports severity
+// counters plus a last-value gauge to the registry; warn/fail
+// observations also emit structured log records with probe/step
+// context, while ok observations are recorded only, even at Debug
+// level.
 func TestActionsLogAndRecord(t *testing.T) {
 	var buf bytes.Buffer
 	reg := obs.NewRegistry()
 	m := New(Config{
-		Logger:   obs.JSONLogger(&buf, slog.LevelWarn),
+		Logger:   obs.JSONLogger(&buf, slog.LevelDebug),
 		Registry: reg,
 	})
 	m.ObserveEnergy(0, -100, 10)
-	m.ObserveEnergy(5, -100+0.05*10, 10) // warn at default 1e-2
-	m.ObserveEnergy(6, -100+10, 10)      // fail at default 1e-1
+	m.ObserveEnergy(5, -100+0.05*10, 10) // warn at 1e-2
+	m.ObserveEnergy(6, -100+10, 10)      // fail at 1e-1
 
 	out := buf.String()
+	if lines := strings.Count(out, "\n"); lines != 2 {
+		t.Errorf("%d log records, want 2 (warn and fail; ok is record-only):\n%s", lines, out)
+	}
 	if !strings.Contains(out, `"probe":"energy_drift"`) || !strings.Contains(out, `"step":5`) {
 		t.Errorf("log output missing probe/step context: %s", out)
 	}

@@ -7,7 +7,7 @@
 //
 // The design constraint is that telemetry must never perturb what it
 // measures. All hot-path entry points are nil-safe and branch-cheap: a
-// nil *RankRecorder (or a disabled Recorder, one atomic load) makes
+// nil *RankRecorder (what a nil *Recorder hands out) makes
 // StartSpan/End complete no-ops with zero allocations, so the
 // simulation loops carry their instrumentation unconditionally and the
 // bit-identical determinism and 0 allocs/op guarantees of the halo
@@ -117,12 +117,11 @@ type SpanCopy struct {
 // own preallocated ring buffer. A nil *Recorder is a valid disabled
 // recorder: Rank returns nil and every downstream call is a no-op.
 type Recorder struct {
-	epoch   time.Time
-	enabled atomic.Bool
-	ranks   []RankRecorder
+	epoch time.Time
+	ranks []RankRecorder
 }
 
-// NewRecorder builds an enabled recorder for the given number of
+// NewRecorder builds a recorder for the given number of
 // ranks, each with a ring of spansPerRank spans (minimum 16). When a
 // ring fills, the oldest spans are overwritten and counted as dropped,
 // so long runs degrade to a trailing window instead of growing.
@@ -141,13 +140,8 @@ func NewRecorder(ranks, spansPerRank int) *Recorder {
 		rr.spans = make([]span, spansPerRank)
 		rr.flows = make([]flowPoint, spansPerRank)
 	}
-	r.enabled.Store(true)
 	return r
 }
-
-// Enable switches recording on or off. Spans started while disabled
-// are dropped entirely (their End is a no-op).
-func (r *Recorder) Enable(on bool) { r.enabled.Store(on) }
 
 // Ranks returns the number of rank tracks (0 for a nil recorder).
 func (r *Recorder) Ranks() int {
@@ -213,18 +207,17 @@ func (r *RankRecorder) SetStep(step int) {
 
 // Span is an in-flight interval returned by StartSpan. It is a plain
 // value (no allocation); call End exactly once. The zero Span (from a
-// nil or disabled recorder) is valid and End on it is a no-op.
+// nil recorder) is valid and End on it is a no-op.
 type Span struct {
 	r     *RankRecorder
 	start int64
 	phase PhaseID
 }
 
-// StartSpan opens a span of the given phase. On a nil or disabled
-// recorder it returns the no-op zero Span after a single nil test plus
-// one atomic load.
+// StartSpan opens a span of the given phase. On a nil recorder it
+// returns the no-op zero Span after a single nil test.
 func (r *RankRecorder) StartSpan(phase PhaseID) Span {
-	if r == nil || !r.rec.enabled.Load() {
+	if r == nil {
 		return Span{}
 	}
 	return Span{r: r, start: int64(time.Since(r.rec.epoch)), phase: phase}
@@ -257,11 +250,11 @@ func flowID(step int32, tag, sender int) uint64 {
 }
 
 // FlowSend records the outgoing endpoint of a message this rank sends
-// with the given tag — call it at send time. Nil or disabled recorders
-// make it a no-op; enabled ones store into the preallocated flow ring,
+// with the given tag — call it at send time. A nil recorder makes it a
+// no-op; a live one stores into the preallocated flow ring,
 // so the call never allocates.
 func (r *RankRecorder) FlowSend(tag int) {
-	if r == nil || !r.rec.enabled.Load() {
+	if r == nil {
 		return
 	}
 	r.putFlow(flowID(r.step, tag, r.rank), true)
@@ -271,7 +264,7 @@ func (r *RankRecorder) FlowSend(tag int) {
 // rank `from` with the given tag — call it at receive time. Both
 // endpoints of one message resolve to the same flow ID.
 func (r *RankRecorder) FlowRecv(tag, from int) {
-	if r == nil || !r.rec.enabled.Load() {
+	if r == nil {
 		return
 	}
 	r.putFlow(flowID(r.step, tag, from), false)

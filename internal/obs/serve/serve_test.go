@@ -221,14 +221,17 @@ func TestHealthzStepFields(t *testing.T) {
 }
 
 func TestHistoryAndAnomalies(t *testing.T) {
-	fl := flight.New(flight.Config{Ranks: 1, RawSteps: 16})
-	for step := 0; step < 25; step++ {
+	// More steps than the raw ring holds, so /history serves a
+	// wrapped window.
+	fl := flight.New(flight.Config{Ranks: 1})
+	const steps = 1100
+	for step := 0; step < steps; step++ {
 		fl.ObserveStep(obs.StepRecord{
 			Step: step, Rank: 0, WallNs: 1000,
 			PhaseNs: map[string]int64{"halo": 10},
 		})
 	}
-	fl.RecordAbort(24, "boom")
+	fl.RecordAbort(steps-1, "boom")
 	s := &Server{Flight: fl}
 
 	rr := get(t, s, "/history")
@@ -239,8 +242,12 @@ func TestHistoryAndAnomalies(t *testing.T) {
 	if err := json.Unmarshal(rr.Body.Bytes(), &hist); err != nil {
 		t.Fatal(err)
 	}
-	if hist.Res != 1 || len(hist.Records) != 16 {
-		t.Errorf("raw history res=%d records=%d, want 1/16", hist.Res, len(hist.Records))
+	retained := len(fl.History(1, nil).Records)
+	if hist.Res != 1 || len(hist.Records) != retained || retained >= steps {
+		t.Fatalf("raw history res=%d records=%d, want 1/%d (< %d fed)", hist.Res, len(hist.Records), retained, steps)
+	}
+	if last := hist.Records[len(hist.Records)-1]; last.Step != steps-1 {
+		t.Errorf("raw history ends at step %d, want %d", last.Step, steps-1)
 	}
 
 	if err := json.Unmarshal(get(t, s, "/history?res=10&fields=halo").Body.Bytes(), &hist); err != nil {

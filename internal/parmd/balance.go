@@ -33,17 +33,20 @@ type Balancer struct {
 	// per-rank force-evaluation time since the previous check — at
 	// which a repartition is attempted (default 1.2).
 	Threshold float64
-	// MinGain is the hysteresis guard passed to Decomp.Rebalance: an
-	// axis's boundaries move only when the predicted per-axis imbalance
-	// improves by at least this much (default 0.02), so a uniform
-	// workload's measurement noise never causes churn.
-	MinGain float64
-	// MaxShift caps how many cells one slab boundary may move per
-	// repartition (default 2), bounding the migration rounds (and the
-	// transient traffic) a single repartition triggers; convergence to
-	// a distant optimum takes several checks instead.
-	MaxShift int
 }
+
+const (
+	// balanceGainFloor is the hysteresis guard passed to
+	// Decomp.Rebalance: an axis's boundaries move only when the
+	// predicted per-axis imbalance improves by at least this much, so a
+	// uniform workload's measurement noise never causes churn.
+	balanceGainFloor = 0.02
+	// balanceShiftCap caps how many cells one slab boundary may move
+	// per repartition, bounding the migration rounds (and the transient
+	// traffic) a single repartition triggers; convergence to a distant
+	// optimum takes several checks instead.
+	balanceShiftCap = 2
+)
 
 func (b *Balancer) every() int {
 	if b.Every > 0 {
@@ -57,20 +60,6 @@ func (b *Balancer) threshold() float64 {
 		return b.Threshold
 	}
 	return 1.2
-}
-
-func (b *Balancer) minGain() float64 {
-	if b.MinGain > 0 {
-		return b.MinGain
-	}
-	return 0.02
-}
-
-func (b *Balancer) maxShift() int {
-	if b.MaxShift > 0 {
-		return b.MaxShift
-	}
-	return 2
 }
 
 // balanceState is one rank's preallocated balance-protocol scratch;
@@ -293,7 +282,7 @@ func (r *rankState) decideBalance() bool {
 		return false
 	}
 	minWidth := max(r.mLo, r.mHi)
-	return r.dec.rebalanceInto(b.weights, minWidth, b.cfg.maxShift(), b.cfg.minGain(), &b.cand)
+	return r.dec.rebalanceInto(b.weights, minWidth, balanceShiftCap, balanceGainFloor, &b.cand)
 }
 
 // encodeDecision writes rank 0's verdict: a flag, then the new

@@ -85,10 +85,7 @@ func TestHealthAbortOnBrokenIntegrator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mon := health.New(health.Config{
-		Every:  1,
-		OnFail: health.ActionRecord | health.ActionAbort,
-	})
+	mon := health.New(health.Config{Every: 1, AbortOnFail: true})
 	_, err = Run(cfg, model, Options{
 		Scheme: SchemeSC,
 		Cart:   cart,

@@ -92,7 +92,7 @@ type Options struct {
 	// transport — the seam fault injection uses to exercise the
 	// malformed-message and abort paths (see FaultTransport and scmd's
 	// -fault flag), and the socket fabric plugs genuinely distributed
-	// execution into (see RunSocket and scmd -transport socket).
+	// execution into (see RunSocket and scmd -transport unix/tcp).
 	Transport comm.Transport
 	// Worker, when non-nil, marks this process as a single rank of a
 	// multi-process world: Run executes only Worker.Rank over the

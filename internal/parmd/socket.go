@@ -7,16 +7,11 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"sctuple/internal/comm"
 	"sctuple/internal/potential"
 	"sctuple/internal/workload"
 )
-
-// socketDialTimeout bounds rendezvous registration, the peer mesh
-// dial/accept, and the handshakes of an in-process socket world.
-const socketDialTimeout = 30 * time.Second
 
 // RunSocket executes the same run as Run, but over a real socket
 // fabric: one goroutine per rank, each with its own SocketTransport,
@@ -59,7 +54,7 @@ func runSocketWorlds(cfg *workload.Config, model *potential.Model, opt Options, 
 		return nil, err
 	}
 	token := comm.NewSessionToken()
-	go comm.ServeRendezvous(ln, size, token, socketDialTimeout)
+	go comm.ServeRendezvous(ln, size, token, 0)
 
 	results := make([]*Result, size)
 	errs := make([]error, size)
@@ -75,7 +70,6 @@ func runSocketWorlds(cfg *workload.Config, model *potential.Model, opt Options, 
 				Rank:       rank,
 				Size:       size,
 				Token:      token,
-				Timeout:    socketDialTimeout,
 				Log:        opt.Log,
 			})
 			if err != nil {
