@@ -14,6 +14,17 @@
 // distances of the selected images — no minimum-image search inside
 // the hot loop.
 //
+// The walk shares work between paths. Per anchor cell, each distinct
+// offset of the pattern is resolved once (27 for SC(3), whose 378
+// paths name 1,134 offsets). Per distinct prefix (v0, v1) (63 for
+// SC(3)), the pairs (a0, a1) that pass the duplicate-atom and distance
+// checks are listed once. Each path then walks its prefix's list in
+// a0-major order and extends from level 2. Paths keep their pattern
+// order and their own emission order, so the visitor sees the call
+// sequence of a path-by-path walk, and forces summed from it are
+// bit-identical. Stats keep their path-by-path values too: a prefix's
+// level-0/1 counts are credited to every non-empty path that uses it.
+//
 // Reflective redundancy is handled according to the pattern kind:
 //
 //   - A collapsed pattern (SC, HS, ES) generates each undirected tuple
@@ -78,7 +89,12 @@ func (d Dedup) String() string {
 
 // Stats accumulates the operation counts of an enumeration. The search
 // cost of the paper's Eq. 12 corresponds to Candidates: the number of
-// partial-chain extensions the engine examined.
+// partial-chain extensions a path-by-path walk examines. The walk runs
+// the level-0/1 checks of a (v0, v1) prefix once per anchor cell and
+// credits their counts (Candidates, DuplicateAtom, DistancePruned) to
+// every non-empty path that shares the prefix. Each counter thus keeps
+// its path-by-path value, and Candidates measures the pattern's search
+// cost, not the checks actually run.
 type Stats struct {
 	Cells            int   // cells visited
 	PathApplications int64 // (cell, path) combinations processed
@@ -127,19 +143,44 @@ type Enumerator struct {
 	bounded bool
 	keys    []int64
 
-	// palindromic[i] reports whether pattern path i is self-reflective.
+	// Pattern tables, built once at construction. offsets holds the
+	// pattern's distinct cell offsets; pathOff[pi*n+k] is the offset id
+	// of level k of path pi; pathPrefix[pi] is the id of path pi's
+	// (v0, v1) prefix, whose offset ids are prefixOff[id].
+	// palindromic[pi] reports whether path pi is self-reflective.
+	offsets     []geom.IVec3
+	pathOff     []int32
+	pathPrefix  []int32
+	prefixOff   [][2]int32
 	palindromic []bool
 
-	// Scratch reused across cells and calls. CSR binnings resolve each
-	// offset cell to an atom-index list; span binnings resolve it to a
-	// contiguous storage range [spanLo, spanHi) walked directly — the
-	// indirection-free inner loop of the cell-sorted SoA layout.
-	atoms  [MaxN]int32
-	pos    [MaxN]geom.Vec3
-	lists  [MaxN][]int32
-	spanLo [MaxN]int32
-	spanHi [MaxN]int32
-	shifts [MaxN]geom.Vec3
+	// Scratch reused across cells and calls. cells[o] is offset o
+	// resolved at the current anchor cell: a slot range plus the
+	// periodic image shift. A span binning's slots are storage indices
+	// themselves; a CSR binning's slot j holds atom index[j].
+	cells []cellRange
+	index []int32
+
+	// pairs is the current prefix's surviving (a0, a1) chains in
+	// a0-major order, and prefix its level-0/1 counts.
+	pairs  []pair
+	prefix Stats
+
+	atoms [MaxN]int32
+	pos   [MaxN]geom.Vec3
+}
+
+// cellRange is one offset cell resolved at an anchor cell.
+type cellRange struct {
+	lo, hi int32
+	shift  geom.Vec3
+}
+
+// pair is a two-atom chain that survived the level-1 checks, with its
+// image-resolved positions.
+type pair struct {
+	a0, a1 int32
+	r0, r1 geom.Vec3
 }
 
 // NewEnumerator builds an enumerator for the given binning, pattern,
@@ -149,14 +190,9 @@ type Enumerator struct {
 // if the lattice is too small for the pattern's span (offsets would
 // alias and tuples would be double counted).
 func NewEnumerator(bin *cell.Binning, pattern *core.Pattern, cutoff float64, dedup Dedup) (*Enumerator, error) {
-	if pattern.N() > MaxN {
-		return nil, fmt.Errorf("tuple: n=%d exceeds MaxN=%d", pattern.N(), MaxN)
-	}
-	lat := bin.Lat
-	radius := float64(pattern.StepRadius())
-	if cutoff > radius*lat.Side.X || cutoff > radius*lat.Side.Y || cutoff > radius*lat.Side.Z {
-		return nil, fmt.Errorf("tuple: cutoff %g exceeds pattern reach (step radius %g × cell side %v)",
-			cutoff, radius, lat.Side)
+	e, err := newEnumerator(bin, pattern, cutoff, dedup)
+	if err != nil {
+		return nil, err
 	}
 	lo, hi := pattern.BoundingBox()
 	span := hi.Sub(lo).Max(geom.IVec3{})
@@ -169,27 +205,9 @@ func NewEnumerator(bin *cell.Binning, pattern *core.Pattern, cutoff float64, ded
 	// requirement that at most one periodic image of any chain fits
 	// within the cutoff.
 	need := max(3, max(span.X, max(span.Y, span.Z))+1)
-	if !lat.MinSpanOK(need) {
+	if !bin.Lat.MinSpanOK(need) {
 		return nil, fmt.Errorf("tuple: lattice %v too small for pattern span %v (need ≥ %d cells per side)",
-			lat.Dims, span, need)
-	}
-	if dedup == DedupAuto {
-		if pattern.RedundancyCount() == 0 {
-			dedup = DedupPalindromic
-		} else {
-			dedup = DedupCanonical
-		}
-	}
-	e := &Enumerator{
-		bin:         bin,
-		pattern:     pattern,
-		cutoff2:     cutoff * cutoff,
-		dedup:       dedup,
-		n:           pattern.N(),
-		palindromic: make([]bool, pattern.Len()),
-	}
-	for i, p := range pattern.Paths() {
-		e.palindromic[i] = p.IsSelfReflective()
+			bin.Lat.Dims, span, need)
 	}
 	return e, nil
 }
@@ -202,8 +220,22 @@ func NewEnumerator(bin *cell.Binning, pattern *core.Pattern, cutoff float64, ded
 // atoms already shifted into the local frame. No lattice-span check is
 // needed (aliasing cannot occur without wrapping).
 func NewBoundedEnumerator(bin *cell.Binning, pattern *core.Pattern, cutoff float64, dedup Dedup) (*Enumerator, error) {
-	if pattern.N() > MaxN {
-		return nil, fmt.Errorf("tuple: n=%d exceeds MaxN=%d", pattern.N(), MaxN)
+	e, err := newEnumerator(bin, pattern, cutoff, dedup)
+	if err != nil {
+		return nil, err
+	}
+	e.bounded = true
+	return e, nil
+}
+
+// newEnumerator is the part of construction both modes share: the
+// tuple-length and reach checks, dedup resolution and the pattern
+// tables. A pattern with n < 2 has no (v0, v1) prefix and no link for
+// the cutoff to bound, so it is rejected.
+func newEnumerator(bin *cell.Binning, pattern *core.Pattern, cutoff float64, dedup Dedup) (*Enumerator, error) {
+	n := pattern.N()
+	if n < 2 || n > MaxN {
+		return nil, fmt.Errorf("tuple: n=%d outside [2, MaxN=%d]", n, MaxN)
 	}
 	lat := bin.Lat
 	radius := float64(pattern.StepRadius())
@@ -218,18 +250,40 @@ func NewBoundedEnumerator(bin *cell.Binning, pattern *core.Pattern, cutoff float
 			dedup = DedupCanonical
 		}
 	}
+	paths := pattern.Paths()
 	e := &Enumerator{
 		bin:         bin,
 		pattern:     pattern,
 		cutoff2:     cutoff * cutoff,
 		dedup:       dedup,
-		n:           pattern.N(),
-		bounded:     true,
-		palindromic: make([]bool, pattern.Len()),
+		n:           n,
+		pathOff:     make([]int32, len(paths)*n),
+		pathPrefix:  make([]int32, len(paths)),
+		palindromic: make([]bool, len(paths)),
 	}
-	for i, p := range pattern.Paths() {
-		e.palindromic[i] = p.IsSelfReflective()
+	offsetID := make(map[geom.IVec3]int32)
+	prefixID := make(map[[2]int32]int32)
+	for pi, p := range paths {
+		for k, v := range p {
+			o, ok := offsetID[v]
+			if !ok {
+				o = int32(len(e.offsets))
+				offsetID[v] = o
+				e.offsets = append(e.offsets, v)
+			}
+			e.pathOff[pi*n+k] = o
+		}
+		key := [2]int32{e.pathOff[pi*n], e.pathOff[pi*n+1]}
+		id, ok := prefixID[key]
+		if !ok {
+			id = int32(len(e.prefixOff))
+			prefixID[key] = id
+			e.prefixOff = append(e.prefixOff, key)
+		}
+		e.pathPrefix[pi] = id
+		e.palindromic[pi] = p.IsSelfReflective()
 	}
+	e.cells = make([]cellRange, len(e.offsets))
 	return e, nil
 }
 
@@ -297,33 +351,24 @@ func (e *Enumerator) VisitCellsInto(cells []geom.IVec3, positions []geom.Vec3, f
 // VisitCell streams the cell search-space S_cell(c(q), Ψ) of Eq. 10:
 // all tuples of all paths anchored at cell q, accumulating counters
 // into st.
+//
+// Each distinct offset is resolved once per call. Paths are visited
+// in pattern order; a path with any empty cell is skipped. Otherwise
+// its prefix's surviving (a0, a1) list is built, unless it is the list
+// built last, and the path extends each entry from level 2 on. A
+// sorted pattern keeps each prefix's paths contiguous, so each list is
+// built once per anchor cell. Every path still emits in its own
+// a0-major order, so the visitor call sequence, and the forces summed
+// from it, are those of a walk that treats each path alone.
 func (e *Enumerator) VisitCell(q geom.IVec3, positions []geom.Vec3, fn Visitor, st *Stats) {
-	if e.bin.Spans() {
-		e.visitCellSpans(q, positions, fn, st)
-		return
-	}
 	st.Cells++
-	lat := e.bin.Lat
-	for pi, p := range e.pattern.Paths() {
-		st.PathApplications++
-		// Resolve each offset cell once: atom list + image shift. In
-		// bounded mode, out-of-lattice cells are empty and shifts are
-		// zero (the importer pre-shifted halo atoms).
+	st.PathApplications += int64(len(e.pathPrefix))
+	e.resolve(q)
+	built := int32(-1)
+	for pi, id := range e.pathPrefix {
 		empty := false
-		for k, v := range p {
-			cq := q.Add(v)
-			if e.bounded {
-				if !cq.InBox(lat.Dims) {
-					empty = true
-					break
-				}
-				e.lists[k] = e.bin.CellAtomsLinear(lat.Linear(cq))
-				e.shifts[k] = geom.Vec3{}
-			} else {
-				e.lists[k] = e.bin.CellAtoms(cq)
-				e.shifts[k] = lat.ImageShift(cq)
-			}
-			if len(e.lists[k]) == 0 {
+		for _, o := range e.pathOff[pi*e.n : (pi+1)*e.n] {
+			if c := &e.cells[o]; c.lo == c.hi {
 				empty = true
 				break
 			}
@@ -331,56 +376,108 @@ func (e *Enumerator) VisitCell(q geom.IVec3, positions []geom.Vec3, fn Visitor, 
 		if empty {
 			continue
 		}
-		e.extend(0, pi, positions, fn, st)
-	}
-}
-
-// visitCellSpans is VisitCell over a span-layout binning: each offset
-// cell resolves to a contiguous storage range instead of an index
-// list, and the chain walker iterates storage slots directly. Because
-// span storage is canonically ordered (cells sorted, keys ascending
-// within a cell), the emission sequence is identical to a CSR binning
-// whose cell lists are in the same within-cell order.
-func (e *Enumerator) visitCellSpans(q geom.IVec3, positions []geom.Vec3, fn Visitor, st *Stats) {
-	st.Cells++
-	lat := e.bin.Lat
-	for pi, p := range e.pattern.Paths() {
-		st.PathApplications++
-		empty := false
-		for k, v := range p {
-			cq := q.Add(v)
-			if e.bounded {
-				if !cq.InBox(lat.Dims) {
-					empty = true
-					break
-				}
-				e.spanLo[k], e.spanHi[k] = e.bin.CellSpan(lat.Linear(cq))
-				e.shifts[k] = geom.Vec3{}
+		if id != built {
+			e.buildPrefix(id, positions)
+			built = id
+		}
+		st.Candidates += e.prefix.Candidates
+		st.DuplicateAtom += e.prefix.DuplicateAtom
+		st.DistancePruned += e.prefix.DistancePruned
+		for i := range e.pairs {
+			p := &e.pairs[i]
+			e.atoms[0], e.atoms[1] = p.a0, p.a1
+			e.pos[0], e.pos[1] = p.r0, p.r1
+			if e.n == 2 {
+				e.emit(pi, fn, st)
 			} else {
-				e.spanLo[k], e.spanHi[k] = e.bin.CellSpan(lat.Linear(lat.WrapCell(cq)))
-				e.shifts[k] = lat.ImageShift(cq)
-			}
-			if e.spanLo[k] == e.spanHi[k] {
-				empty = true
-				break
+				e.extend(2, pi, positions, fn, st)
 			}
 		}
-		if empty {
-			continue
-		}
-		e.extendSpan(0, pi, positions, fn, st)
 	}
 }
 
-// extend grows the chain at level k by every atom of the k-th cell
-// list, pruning on duplicate atoms and on the consecutive-distance
-// cutoff, and emits completed chains.
+// resolve maps every distinct offset to its cell at anchor q. In
+// bounded mode, out-of-lattice cells are empty and shifts are zero
+// (the importer pre-shifted halo atoms).
+func (e *Enumerator) resolve(q geom.IVec3) {
+	lat := e.bin.Lat
+	spans := e.bin.Spans()
+	e.index = nil
+	if !spans {
+		e.index = e.bin.Atoms
+	}
+	for o, v := range e.offsets {
+		c := &e.cells[o]
+		cq := q.Add(v)
+		var i int
+		if e.bounded {
+			if !cq.InBox(lat.Dims) {
+				*c = cellRange{}
+				continue
+			}
+			i = lat.Linear(cq)
+			c.shift = geom.Vec3{}
+		} else {
+			i = lat.Linear(lat.WrapCell(cq))
+			c.shift = lat.ImageShift(cq)
+		}
+		if spans {
+			c.lo, c.hi = e.bin.CellSpan(i)
+		} else {
+			c.lo, c.hi = e.bin.Start[i], e.bin.Start[i+1]
+		}
+	}
+}
+
+// buildPrefix fills e.pairs with the chains (a0, a1) of prefix id that
+// pass the duplicate-atom and distance checks, in a0-major order, and
+// e.prefix with the level-0/1 counts a path-by-path walk would make.
+func (e *Enumerator) buildPrefix(id int32, positions []geom.Vec3) {
+	c0, c1 := &e.cells[e.prefixOff[id][0]], &e.cells[e.prefixOff[id][1]]
+	e.pairs = e.pairs[:0]
+	var dup, pruned int64
+	for j0 := c0.lo; j0 < c0.hi; j0++ {
+		a0 := j0
+		if e.index != nil {
+			a0 = e.index[j0]
+		}
+		r0 := positions[a0].Add(c0.shift)
+		for j1 := c1.lo; j1 < c1.hi; j1++ {
+			a1 := j1
+			if e.index != nil {
+				a1 = e.index[j1]
+			}
+			if a1 == a0 {
+				dup++
+				continue
+			}
+			r1 := positions[a1].Add(c1.shift)
+			if r1.Sub(r0).Norm2() >= e.cutoff2 {
+				pruned++
+				continue
+			}
+			e.pairs = append(e.pairs, pair{a0: a0, a1: a1, r0: r0, r1: r1})
+		}
+	}
+	n0, n1 := int64(c0.hi-c0.lo), int64(c1.hi-c1.lo)
+	e.prefix = Stats{Candidates: n0 + n0*n1, DuplicateAtom: dup, DistancePruned: pruned}
+}
+
+// extend grows the chain at level k ≥ 2 of path pi by every atom of
+// that level's cell, pruning on duplicate atoms and on the
+// consecutive-distance cutoff, and emits completed chains.
 func (e *Enumerator) extend(k, pi int, positions []geom.Vec3, fn Visitor, st *Stats) {
-	for _, ai := range e.lists[k] {
-		st.Candidates++
+	c := &e.cells[e.pathOff[pi*e.n+k]]
+	prev := e.pos[k-1]
+	st.Candidates += int64(c.hi - c.lo)
+	for j := c.lo; j < c.hi; j++ {
+		ai := j
+		if e.index != nil {
+			ai = e.index[j]
+		}
 		dup := false
-		for j := 0; j < k; j++ {
-			if e.atoms[j] == ai {
+		for m := 0; m < k; m++ {
+			if e.atoms[m] == ai {
 				dup = true
 				break
 			}
@@ -389,13 +486,10 @@ func (e *Enumerator) extend(k, pi int, positions []geom.Vec3, fn Visitor, st *St
 			st.DuplicateAtom++
 			continue
 		}
-		r := positions[ai].Add(e.shifts[k])
-		if k > 0 {
-			d := r.Sub(e.pos[k-1])
-			if d.Norm2() >= e.cutoff2 {
-				st.DistancePruned++
-				continue
-			}
+		r := positions[ai].Add(c.shift)
+		if r.Sub(prev).Norm2() >= e.cutoff2 {
+			st.DistancePruned++
+			continue
 		}
 		e.atoms[k] = ai
 		e.pos[k] = r
@@ -403,70 +497,27 @@ func (e *Enumerator) extend(k, pi int, positions []geom.Vec3, fn Visitor, st *St
 			e.extend(k+1, pi, positions, fn, st)
 			continue
 		}
-		// Completed chain: apply the reflection policy.
-		switch e.dedup {
-		case DedupPalindromic:
-			if e.palindromic[pi] && e.keyOf(e.atoms[0]) > e.keyOf(e.atoms[e.n-1]) {
-				st.ReflectionCut++
-				continue
-			}
-		case DedupCanonical:
-			if e.keyOf(e.atoms[0]) > e.keyOf(e.atoms[e.n-1]) {
-				st.ReflectionCut++
-				continue
-			}
-		}
-		st.Emitted++
-		fn(e.atoms[:e.n], e.pos[:e.n])
+		e.emit(pi, fn, st)
 	}
 }
 
-// extendSpan is extend for span-layout binnings: level k's candidates
-// are the storage slots [spanLo[k], spanHi[k]) themselves — no
-// indirection load in the hot loop.
-func (e *Enumerator) extendSpan(k, pi int, positions []geom.Vec3, fn Visitor, st *Stats) {
-	for ai := e.spanLo[k]; ai < e.spanHi[k]; ai++ {
-		st.Candidates++
-		dup := false
-		for j := 0; j < k; j++ {
-			if e.atoms[j] == ai {
-				dup = true
-				break
-			}
+// emit applies the reflection policy to the completed chain of path pi
+// and delivers it to the visitor.
+func (e *Enumerator) emit(pi int, fn Visitor, st *Stats) {
+	switch e.dedup {
+	case DedupPalindromic:
+		if e.palindromic[pi] && e.keyOf(e.atoms[0]) > e.keyOf(e.atoms[e.n-1]) {
+			st.ReflectionCut++
+			return
 		}
-		if dup {
-			st.DuplicateAtom++
-			continue
+	case DedupCanonical:
+		if e.keyOf(e.atoms[0]) > e.keyOf(e.atoms[e.n-1]) {
+			st.ReflectionCut++
+			return
 		}
-		r := positions[ai].Add(e.shifts[k])
-		if k > 0 {
-			d := r.Sub(e.pos[k-1])
-			if d.Norm2() >= e.cutoff2 {
-				st.DistancePruned++
-				continue
-			}
-		}
-		e.atoms[k] = ai
-		e.pos[k] = r
-		if k+1 < e.n {
-			e.extendSpan(k+1, pi, positions, fn, st)
-			continue
-		}
-		switch e.dedup {
-		case DedupPalindromic:
-			if e.palindromic[pi] && e.keyOf(e.atoms[0]) > e.keyOf(e.atoms[e.n-1]) {
-				st.ReflectionCut++
-				continue
-			}
-		case DedupCanonical:
-			if e.keyOf(e.atoms[0]) > e.keyOf(e.atoms[e.n-1]) {
-				st.ReflectionCut++
-				continue
-			}
-		}
-		st.Emitted++
-		fn(e.atoms[:e.n], e.pos[:e.n])
 	}
+	st.Emitted++
+	fn(e.atoms[:e.n], e.pos[:e.n])
 }
 
 // Count runs the enumeration without a visitor and returns the stats.
