@@ -128,11 +128,13 @@ func (b *Binning) prepareCSR(n int) {
 	}
 	clear(b.fill[:nc])
 	if cap(b.cellOf) < n {
-		b.cellOf = make([]int32, n)
+		// Headroom, as in RebinSpans: a parallel rank's atom count
+		// includes a fluctuating halo.
+		b.cellOf = make([]int32, n, n+n/8)
 	}
 	b.cellOf = b.cellOf[:n]
 	if cap(b.Atoms) < n {
-		b.Atoms = make([]int32, n)
+		b.Atoms = make([]int32, n, n+n/8)
 	}
 	b.Atoms = b.Atoms[:n]
 	b.SpanLo = nil

@@ -215,7 +215,7 @@ func (r *rankState) countLayers() {
 		}
 	}
 	for i := 0; i < r.nOwned; i++ {
-		gc := r.gcell[i]
+		gc := r.coarse(r.gcell[i])
 		b.counts[0][gc.X-r.lo.X]++
 		b.counts[1][gc.Y-r.lo.Y]++
 		b.counts[2][gc.Z-r.lo.Z]++

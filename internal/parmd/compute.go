@@ -20,11 +20,11 @@ import (
 // runs the identical dispatch, so the two modes' forces agree bit for
 // bit — the property the A/B determinism tests pin down.
 //
-// Owned cells hold only owned atoms under both binnings (halo copies
-// land in margin cells), so the interior stage sees the same per-cell
-// atom lists whether or not the halo has arrived; only the enumerator's
-// probe of empty margin cells can differ, which affects search
-// counters, never forces.
+// Owned cells and sub-cells hold only owned atoms in both modes (halo
+// copies land in margin cells), so the interior stage sees the same
+// per-cell atom lists whether or not the halo has arrived; only the
+// enumerator's probe of empty margin cells can differ, which affects
+// search counters, never forces.
 func (r *rankState) computeForces() (float64, error) {
 	sp := r.rec.StartSpan(phaseBin)
 	r.dropHalo()
@@ -96,9 +96,9 @@ func (r *rankState) evalInterior() {
 	sp := r.rec.StartSpan(phaseForceInterior)
 	switch r.scheme {
 	case SchemeSC, SchemeFS:
-		r.evalCellTerms(r.interiorCells)
+		r.evalCellTerms(false)
 	case SchemeHybrid:
-		r.hybridSearch(r.interiorCells, true)
+		r.hybridSearch(r.grids[0].interior, true)
 	}
 	sp.End()
 	r.stats.ForceNs += time.Since(start).Nanoseconds()
@@ -114,11 +114,11 @@ func (r *rankState) evalBoundary() {
 	switch r.scheme {
 	case SchemeSC, SchemeFS:
 		sp := r.rec.StartSpan(phaseForceBoundary)
-		r.evalCellTerms(r.boundaryCells)
+		r.evalCellTerms(true)
 		sp.End()
 	case SchemeHybrid:
 		sp := r.rec.StartSpan(phaseSearch)
-		r.hybridSearch(r.boundaryCells, false)
+		r.hybridSearch(r.grids[0].boundary, false)
 		r.hybridBuildList()
 		sp.End()
 		r.hybridEval()
@@ -126,16 +126,20 @@ func (r *rankState) evalBoundary() {
 	r.stats.ForceNs += time.Since(start).Nanoseconds()
 }
 
-// evalCellTerms is the SC-/FS-MD force kernel over one cell subset:
-// one bounded UCP enumeration per n-body term, the cells split across
-// the accumulator's shards by kernel.Chunk and executed by up to
-// r.workers goroutines. The interior and boundary stages pass disjoint
-// subsets that together cover ownedCells in order, so the per-shard
-// accumulation order is a pure function of the partition — identical
-// whether or not the stages were separated by a halo completion.
-func (r *rankState) evalCellTerms(cells []geom.IVec3) {
-	r.curCells = cells
-	for ti := range r.model.Terms {
+// evalCellTerms is the SC-/FS-MD force kernel over one evaluation
+// stage: one bounded UCP enumeration per n-body term over its grid's
+// interior or boundary anchors, the cells split across the
+// accumulator's shards by kernel.Chunk and executed by up to r.workers
+// goroutines. The two stages' anchor lists are disjoint and together
+// cover the grid's owned cells in order, so the per-shard accumulation
+// order is a pure function of the partition — identical whether or not
+// the stages were separated by a halo completion.
+func (r *rankState) evalCellTerms(boundary bool) {
+	for ti, gi := range r.termGrid {
+		r.curCells = r.grids[gi].interior
+		if boundary {
+			r.curCells = r.grids[gi].boundary
+		}
 		r.curTerm = ti
 		kernel.Run(r.acc.Slots(), r.workers, r.cellFn)
 	}

@@ -77,15 +77,17 @@ func (r *rankState) postHaloSend(pi int) {
 	st.sendIdx = st.sendIdx[:0]
 
 	buf := r.p.AcquireBuffer()
+	lo, hi := ph.SlabLo*r.sub, ph.SlabHi*r.sub // the slab's sub-cells
 	for i := range r.ecell {
-		e := r.ecell[i].Comp(ph.Axis)
-		if e < ph.SlabLo || e >= ph.SlabHi {
+		ec := r.ecell[i]
+		if e := ec.Comp(ph.Axis); e < lo || e >= hi {
 			continue
 		}
 		// Shift into the receiver's frame (compiled cell/position
-		// adjustments, including the periodic image correction).
-		ec := r.ecell[i]
-		ec.SetComp(ph.Axis, e+ph.CellAdj)
+		// adjustments, including the periodic image correction). The
+		// record carries the fine cell: the shift is whole cells, K
+		// sub-cells each.
+		ec.SetComp(ph.Axis, ec.Comp(ph.Axis)+ph.CellAdj*r.sub)
 		lp := r.lpos[i]
 		lp.SetComp(ph.Axis, lp.Comp(ph.Axis)+ph.PosAdj)
 		putHaloAtom(buf, r.ids[i], r.species[i], ec, lp)
@@ -137,8 +139,9 @@ func (r *rankState) finishHalo() error {
 // appendHalo decodes one phase's margin fill and appends it to the
 // atom arrays, recording where it landed for the force write-back.
 // The buffer is validated before decoding: a payload that is not a
-// whole number of wire records, or an atom landing outside the
-// extended lattice, is a malformed message, not a panic.
+// whole number of wire records, or an atom whose fine cell lies
+// outside the subdivided extended lattice, is a malformed message, not
+// a panic.
 func (r *rankState) appendHalo(pi int, recv *comm.Buffer) error {
 	st := &r.phaseState[pi]
 	if recv.Len()%HaloAtomWireBytes != 0 {
@@ -153,9 +156,9 @@ func (r *rankState) appendHalo(pi int, recv *comm.Buffer) error {
 	rd.Reset(recv.Bytes())
 	for rd.Remaining() > 0 {
 		id, sp, ec, lp := getHaloAtom(&rd)
-		if !ec.InBox(r.extLat.Dims) {
-			err := fmt.Errorf("received halo atom %d from rank %d in cell %v outside extended lattice %v",
-				id, r.plan.Halo[pi].RecvPeer, ec, r.extLat.Dims)
+		if !ec.InBox(r.fineLat.Dims) {
+			err := fmt.Errorf("malformed halo message from rank %d: atom %d in fine cell %v outside extended lattice %v",
+				r.plan.Halo[pi].RecvPeer, id, ec, r.fineLat.Dims)
 			r.p.ReleaseBuffer(recv)
 			return err
 		}

@@ -166,10 +166,10 @@ func (r *rankState) prewarmParity(totalAtoms int) {
 func (r *rankState) buildParityEnums(step int) bool {
 	enums := make([][2]*tuple.Enumerator, 0, len(r.model.Terms))
 	for _, term := range r.model.Terms {
-		scPat, err := md.FamilySC.Pattern(term.N())
+		scPat, err := sharedPattern(md.FamilySC, term.N())
 		if err == nil {
 			var fsPat *core.Pattern
-			fsPat, err = md.FamilyFS.Pattern(term.N())
+			fsPat, err = sharedPattern(md.FamilyFS, term.N())
 			if err == nil {
 				var scEn, fsEn *tuple.Enumerator
 				scEn, err = tuple.NewEnumerator(r.parityBin, scPat, term.Cutoff(), tuple.DedupAuto)

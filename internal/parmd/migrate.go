@@ -14,7 +14,7 @@ import (
 // blocks are at least one cutoff wide — and diagonal moves complete
 // over the successive axis phases. Positions travel in wrapped global
 // coordinates through the shared wire codec; the receiving owner
-// reassigns the global cell, so every downstream consumer sees
+// reassigns the global fine cell, so every downstream consumer sees
 // owner-authoritative integer cells. When no atoms move, the exchange
 // sends empty pooled buffers and allocates nothing.
 func (r *rankState) migrate() error {
@@ -22,7 +22,7 @@ func (r *rankState) migrate() error {
 	defer sp.End()
 	for i := 0; i < r.nOwned; i++ {
 		r.gpos[i] = r.dec.Lat.Box.Wrap(r.gpos[i])
-		r.gcell[i] = r.dec.Lat.CellOf(r.gpos[i])
+		r.gcell[i] = r.fineGlobal.CellOf(r.gpos[i])
 	}
 	for axis := 0; axis < 3; axis++ {
 		mp := &r.plan.Migrate[axis]
@@ -44,7 +44,7 @@ func (r *rankState) migrateAxis(axis int, mp *MigratePhase) error {
 	before := r.nOwned
 	keep := 0
 	for i := 0; i < r.nOwned; i++ {
-		target := r.dec.ownerIndex(axis, r.gcell[i].Comp(axis))
+		target := r.dec.ownerIndex(axis, r.gcell[i].Comp(axis)/r.sub)
 		d, err := hopDir(mp.BlockIdx, target, mp.Dim)
 		if err != nil {
 			if !r.hopClamp {
@@ -77,7 +77,7 @@ func (r *rankState) migrateAxis(axis int, mp *MigratePhase) error {
 		rd.Reset(recv.Bytes())
 		for rd.Remaining() > 0 {
 			id, sp, g, v := getMigrant(&rd)
-			gc := r.dec.Lat.CellOf(g)
+			gc := r.fineGlobal.CellOf(g)
 			r.ids = append(r.ids, id)
 			r.species = append(r.species, sp)
 			r.gpos = append(r.gpos, g)

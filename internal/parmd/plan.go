@@ -44,8 +44,8 @@ type HaloPhase struct {
 	Tag      int // halo import tag
 	ForceTag int // matching force write-back tag
 
-	// Slab selection in extended-cell coordinates along Axis: atoms
-	// with SlabLo ≤ ecell < SlabHi are exported.
+	// Slab selection in extended-cell coordinates along Axis: atoms in
+	// cells c with SlabLo ≤ c < SlabHi are exported.
 	SlabLo, SlabHi int
 
 	// Frame shift into the receiver's coordinates, including the

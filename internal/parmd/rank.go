@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"sync"
 
 	"sctuple/internal/cell"
 	"sctuple/internal/comm"
@@ -90,28 +91,38 @@ type rankState struct {
 	base     geom.IVec3 // global cell coords of the extended-lattice origin
 	extLat   cell.Lattice
 
+	// sub is K, the sub-cells per decomposition cell along each axis
+	// (Scheme.subdivision). Atom cells are kept in sub-cell ("fine")
+	// units: the owner assigns each atom's cell once on fineGlobal, the
+	// global lattice subdivided K-fold, and halo records ship it as an
+	// integer. The decomposition cell is its floor division by K, never
+	// a second float computation, so every rank agrees on both.
+	// fineLat is extLat subdivided K-fold.
+	sub        int
+	fineGlobal cell.Lattice
+	fineLat    cell.Lattice
+
 	// Atom storage: owned atoms in [0, nOwned), halo copies after.
 	nOwned  int
 	ids     []int64
 	gpos    []geom.Vec3  // wrapped global positions (owned atoms only are authoritative)
-	gcell   []geom.IVec3 // owner-assigned global cells (owned atoms)
-	ecell   []geom.IVec3 // extended-lattice cell of every atom (owned + halo)
+	gcell   []geom.IVec3 // owner-assigned global fine cells (owned atoms)
+	ecell   []geom.IVec3 // extended-lattice fine cell of every atom (owned + halo)
 	lpos    []geom.Vec3  // local-frame positions (contiguous across the seam)
 	vel     []geom.Vec3
 	force   []geom.Vec3
 	species []int32
-	lcell   []int32 // linear extended cells, parallel to ecell
+	lcell   []int32 // linear extended decomposition cells, parallel to ecell
+	lfine   []int32 // linear extended fine cells, parallel to ecell
 
-	bin        *cell.Binning
-	ownedCells []geom.IVec3 // extended-lattice coords of owned cells
-	// interiorCells/boundaryCells partition ownedCells by the compiled
-	// plan's interior bounds: interior cells anchor only tuples over
-	// owned atoms, so the overlapped path evaluates them while halo
-	// data is still in flight; boundary cells wait for the imports.
-	// Both keep ownedCells' relative order, so the two-stage dispatch
-	// chunks deterministically.
-	interiorCells []geom.IVec3
-	boundaryCells []geom.IVec3
+	// grids are the lattices the cell search runs on. grids[0] is
+	// extLat, span-binned over the canonical storage; Hybrid-MD searches
+	// only it. grids[1] is fineLat, binned CSR keyed by global ID (the
+	// storage is sorted by decomposition cell, not by sub-cell); it is
+	// built only when some term searches it. termGrid[t] is the grid of
+	// SC/FS term t: the finer one whose cells still cover its cutoff.
+	grids    [2]searchGrid
+	termGrid []int
 	// overlap selects the split-phase exchange (the default): post the
 	// halo sends/receives, evaluate interior cells, complete the
 	// receives, evaluate boundary cells. False runs the synchronous
@@ -229,6 +240,11 @@ func newRankState(p *comm.Proc, dec *Decomp, model *potential.Model, scheme Sche
 		return nil, err
 	}
 	r.mLo, r.mHi = mLo, mHi
+	r.sub = scheme.subdivision(model, side)
+	r.fineGlobal, err = cell.NewLatticeDims(dec.Lat.Box, dec.Lat.Dims.Scale(r.sub))
+	if err != nil {
+		return nil, err
+	}
 	if scheme == SchemeHybrid {
 		// One raw (both orientations) full-shell pair search; pair and
 		// triplet terms are both served from the resulting list.
@@ -367,11 +383,12 @@ func newRankState(p *comm.Proc, dec *Decomp, model *potential.Model, scheme Sche
 }
 
 // initGeometry derives every decomposition-dependent piece of rank
-// state from dec: the owned block, the extended lattice and binning,
-// the compiled exchange plan with its per-phase scratch, and the
-// interior/boundary cell split. It is called once at construction and
-// again by repartition when the slab boundaries move — slices are
-// reset, not reallocated, where capacities allow.
+// state from dec: the owned block, the extended lattice and its
+// subdivision, each search grid's binning and anchor cells, the
+// compiled exchange plan with its per-phase scratch, and each term's
+// grid. It is called once at construction and again by repartition
+// when the slab boundaries move — slices are reset, not reallocated,
+// where capacities allow.
 func (r *rankState) initGeometry(dec *Decomp) error {
 	r.dec = dec
 	r.coord = dec.Cart.Coord(r.p.Rank())
@@ -395,38 +412,92 @@ func (r *rankState) initGeometry(dec *Decomp) error {
 		float64(ext.Z)*dec.Lat.Side.Z,
 	)
 	var err error
-	r.extLat, err = cell.NewLatticeDims(extBox, ext)
-	if err != nil {
+	if r.extLat, err = cell.NewLatticeDims(extBox, ext); err != nil {
 		return err
 	}
-	r.bin = cell.NewBinning(r.extLat, nil)
+	if r.fineLat, err = cell.NewLatticeDims(extBox, ext.Scale(r.sub)); err != nil {
+		return err
+	}
 
-	r.ownedCells = r.ownedCells[:0]
-	r.interiorCells = r.interiorCells[:0]
-	r.boundaryCells = r.boundaryCells[:0]
+	// A term searches the sub-cells when they cover its cutoff — the
+	// bound the enumerator checks against the same lattice.
+	r.termGrid = r.termGrid[:0]
+	fine := false
+	for _, term := range r.model.Terms {
+		g := 0
+		if s := r.fineLat.Side; r.sub > 1 &&
+			term.Cutoff() <= s.X && term.Cutoff() <= s.Y && term.Cutoff() <= s.Z {
+			g, fine = 1, true
+		}
+		r.termGrid = append(r.termGrid, g)
+	}
+
+	coarse := &r.grids[0]
+	coarse.bin = cell.NewBinning(r.extLat, nil)
+	coarse.interior = coarse.interior[:0]
+	coarse.boundary = coarse.boundary[:0]
 	block := r.hi.Sub(r.lo)
 	for x := 0; x < block.X; x++ {
 		for y := 0; y < block.Y; y++ {
 			for z := 0; z < block.Z; z++ {
 				c := geom.IV(x+mLo, y+mLo, z+mLo)
-				r.ownedCells = append(r.ownedCells, c)
 				if c.X >= r.plan.InteriorLo.X && c.X < r.plan.InteriorHi.X &&
 					c.Y >= r.plan.InteriorLo.Y && c.Y < r.plan.InteriorHi.Y &&
 					c.Z >= r.plan.InteriorLo.Z && c.Z < r.plan.InteriorHi.Z {
-					r.interiorCells = append(r.interiorCells, c)
+					coarse.interior = append(coarse.interior, c)
 				} else {
-					r.boundaryCells = append(r.boundaryCells, c)
+					coarse.boundary = append(coarse.boundary, c)
 				}
 			}
 		}
 	}
+
+	// The sub-cells of an interior cell are interior too: a tuple's
+	// physical reach in cells of either lattice rounds up to the same
+	// halo margin. Each cell expands into its K³ sub-cells in place
+	// (coarse-major order), so both stages keep a fixed order.
+	f := &r.grids[1]
+	f.bin = nil
+	f.interior = subdivide(f.interior[:0], coarse.interior, r.sub)
+	f.boundary = subdivide(f.boundary[:0], coarse.boundary, r.sub)
+	if fine {
+		f.bin = cell.NewBinning(r.fineLat, nil)
+	}
 	return nil
 }
 
+// searchGrid is one lattice the cell search runs on: its binning and
+// the owned anchor cells of the two evaluation stages. Interior cells
+// anchor only tuples over owned atoms, so the overlapped path
+// evaluates them while halo data is still in flight; boundary cells
+// wait for the imports. Both lists keep the owned cells' lattice
+// order, so the two-stage dispatch chunks deterministically.
+type searchGrid struct {
+	bin                *cell.Binning
+	interior, boundary []geom.IVec3
+}
+
+// subdivide appends the k³ sub-cells of every cell, cell by cell, in
+// z-fastest order within each cell.
+func subdivide(dst, cells []geom.IVec3, k int) []geom.IVec3 {
+	for _, c := range cells {
+		o := c.Scale(k)
+		for x := 0; x < k; x++ {
+			for y := 0; y < k; y++ {
+				for z := 0; z < k; z++ {
+					dst = append(dst, o.Add(geom.IV(x, y, z)))
+				}
+			}
+		}
+	}
+	return dst
+}
+
 // buildEnumerators (re)builds the tuple enumerators, which bind the
-// current binning: the per-worker SC/FS sets, or the Hybrid raw pair
-// search. The evaluation closures read them through r.enums/r.pairEnum
-// at call time, so a rebuild after repartition needs no closure work.
+// current binnings: the per-worker SC/FS sets, each term on its own
+// grid, or the Hybrid raw pair search. The evaluation closures read
+// them through r.enums/r.pairEnum at call time, so a rebuild after
+// repartition needs no closure work.
 func (r *rankState) buildEnumerators() error {
 	switch r.scheme {
 	case SchemeSC, SchemeFS:
@@ -439,12 +510,12 @@ func (r *rankState) buildEnumerators() error {
 		}
 		for w := 0; w < r.workers; w++ {
 			set := r.enums[w][:0]
-			for _, term := range r.model.Terms {
-				pattern, err := fam.Pattern(term.N())
+			for ti, term := range r.model.Terms {
+				pattern, err := sharedPattern(fam, term.N())
 				if err != nil {
 					return fmt.Errorf("parmd: %w", err)
 				}
-				en, err := tuple.NewBoundedEnumerator(r.bin, pattern, term.Cutoff(), tuple.DedupAuto)
+				en, err := tuple.NewBoundedEnumerator(r.grids[r.termGrid[ti]].bin, pattern, term.Cutoff(), tuple.DedupAuto)
 				if err != nil {
 					return fmt.Errorf("parmd: term n=%d: %w", term.N(), err)
 				}
@@ -453,13 +524,51 @@ func (r *rankState) buildEnumerators() error {
 			r.enums[w] = set
 		}
 	case SchemeHybrid:
-		en, err := tuple.NewBoundedEnumerator(r.bin, core.FS(2), r.pairTerm.Cutoff(), tuple.DedupNone)
+		pattern, err := sharedPattern(md.FamilyFS, 2)
+		if err != nil {
+			return fmt.Errorf("parmd: %w", err)
+		}
+		en, err := tuple.NewBoundedEnumerator(r.grids[0].bin, pattern, r.pairTerm.Cutoff(), tuple.DedupNone)
 		if err != nil {
 			return err
 		}
 		r.pairEnum = en
 	}
 	return nil
+}
+
+// patterns holds every pattern built so far, by family and tuple
+// length. Generating SC(3) costs milliseconds, and a pattern is
+// immutable once built (enumerators only read it), so every rank,
+// worker, repartition and parity probe of a process shares one copy.
+var patterns struct {
+	sync.Mutex
+	m map[patternKey]*core.Pattern
+}
+
+type patternKey struct {
+	fam md.Family
+	n   int
+}
+
+// sharedPattern returns family fam's pattern for tuple length n,
+// building it on first use. Callers must not modify it.
+func sharedPattern(fam md.Family, n int) (*core.Pattern, error) {
+	patterns.Lock()
+	defer patterns.Unlock()
+	k := patternKey{fam, n}
+	if p, ok := patterns.m[k]; ok {
+		return p, nil
+	}
+	p, err := fam.Pattern(n)
+	if err != nil {
+		return nil, err
+	}
+	if patterns.m == nil {
+		patterns.m = make(map[patternKey]*core.Pattern)
+	}
+	patterns.m[k] = p
+	return p, nil
 }
 
 func minSide(v geom.Vec3) float64 {
@@ -477,7 +586,7 @@ func minSide(v geom.Vec3) float64 {
 // fall in this rank's block. IDs are the configuration indices.
 func (r *rankState) adopt(cfg *workload.Config) {
 	for i, g := range cfg.Pos {
-		gc := r.dec.Lat.CellOf(g)
+		gc := r.fineGlobal.CellOf(g)
 		if r.ownsCell(gc) {
 			r.ids = append(r.ids, int64(i))
 			r.gpos = append(r.gpos, g)
@@ -491,8 +600,10 @@ func (r *rankState) adopt(cfg *workload.Config) {
 	r.stats.OwnedAtoms = r.nOwned
 }
 
-// ownsCell reports whether a global cell is in this rank's block.
-func (r *rankState) ownsCell(gc geom.IVec3) bool {
+// ownsCell reports whether a global fine cell is in this rank's
+// block.
+func (r *rankState) ownsCell(fc geom.IVec3) bool {
+	gc := r.coarse(fc)
 	return gc.X >= r.lo.X && gc.X < r.hi.X &&
 		gc.Y >= r.lo.Y && gc.Y < r.hi.Y &&
 		gc.Z >= r.lo.Z && gc.Z < r.hi.Z
@@ -510,18 +621,26 @@ func (r *rankState) dropHalo() {
 	r.lpos = r.lpos[:0]
 }
 
-// deriveOwned recomputes the extended-lattice cell and local position
-// of every owned atom from its owner-assigned global cell. Exact
-// integer arithmetic on cells keeps rank-local binning consistent with
-// the global decomposition even for atoms exactly on cell boundaries.
+// deriveOwned recomputes the extended-lattice fine cell and local
+// position of every owned atom from its owner-assigned global fine
+// cell. Exact integer arithmetic on cells keeps rank-local binning
+// consistent with the global decomposition even for atoms exactly on
+// cell boundaries.
 func (r *rankState) deriveOwned() {
 	r.ecell = r.ecell[:0]
 	r.lpos = r.lpos[:0]
+	fineBase := r.base.Scale(r.sub)
 	for i := 0; i < r.nOwned; i++ {
-		ec := r.gcell[i].Sub(r.base)
+		ec := r.gcell[i].Sub(fineBase)
 		r.ecell = append(r.ecell, ec)
 		r.lpos = append(r.lpos, r.localPos(r.gpos[i], 0, 0, 0))
 	}
+}
+
+// coarse maps a (non-negative) fine cell, global or extended, to the
+// decomposition cell that contains it.
+func (r *rankState) coarse(fc geom.IVec3) geom.IVec3 {
+	return geom.IV(fc.X/r.sub, fc.Y/r.sub, fc.Z/r.sub)
 }
 
 // localPos maps a wrapped global position into this rank's local
@@ -537,21 +656,37 @@ func (r *rankState) localPos(g geom.Vec3, kx, ky, kz int) geom.Vec3 {
 	)
 }
 
-// rebin refreshes the span binning from the current ecell assignment.
-// The owned segment is in canonical (cell, ID) order and every halo
-// phase appends whole per-cell runs, so the storage is cell-run
-// contiguous — the layout RebinSpans requires (and verifies).
+// rebin refreshes the binnings from the current ecell assignment. The
+// owned segment is in canonical (cell, ID) order and every halo phase
+// appends whole per-cell runs, so the storage is cell-run contiguous —
+// the layout RebinSpans requires (and verifies). Sub-cell runs are not
+// contiguous, so the fine grid bins CSR with ID-ordered cell lists,
+// which makes its enumeration order independent of storage order.
 func (r *rankState) rebin() error {
-	if cap(r.lcell) < len(r.ecell) {
+	n := len(r.ecell)
+	if cap(r.lcell) < n {
 		// Headroom: the halo count fluctuates with thermal motion; an
 		// exact fit would reallocate at every new high-water mark.
-		r.lcell = make([]int32, len(r.ecell)+len(r.ecell)/8)
+		r.lcell = make([]int32, n+n/8)
 	}
-	r.lcell = r.lcell[:len(r.ecell)]
+	r.lcell = r.lcell[:n]
 	for i, ec := range r.ecell {
-		r.lcell[i] = int32(r.extLat.Linear(ec))
+		r.lcell[i] = int32(r.extLat.Linear(r.coarse(ec)))
 	}
-	return r.bin.RebinSpans(r.lcell)
+	if err := r.grids[0].bin.RebinSpans(r.lcell); err != nil {
+		return err
+	}
+	if fb := r.grids[1].bin; fb != nil {
+		if cap(r.lfine) < n {
+			r.lfine = make([]int32, n+n/8)
+		}
+		r.lfine = r.lfine[:n]
+		for i, ec := range r.ecell {
+			r.lfine[i] = int32(r.fineLat.Linear(ec))
+		}
+		fb.RebinCellsKeyed(r.lfine, r.ids)
+	}
+	return nil
 }
 
 // canonicalizeOwned re-sorts the owned segment into (extended-lattice
@@ -567,7 +702,7 @@ func (r *rankState) canonicalizeOwned() {
 	}
 	lc := r.lcell[:n]
 	for i := 0; i < n; i++ {
-		lc[i] = int32(r.extLat.Linear(r.ecell[i]))
+		lc[i] = int32(r.extLat.Linear(r.coarse(r.ecell[i])))
 	}
 	if cell.Ordered(lc, r.ids[:n]) {
 		return

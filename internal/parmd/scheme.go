@@ -64,6 +64,25 @@ func haloReach(model *potential.Model, side float64) int {
 	return t
 }
 
+// subdivision returns K, the number of sub-cells each decomposition
+// cell splits into per axis: the most that still leaves every sub-cell
+// at least the model's shortest cutoff wide, so the terms that fit
+// search cells sized to their own cutoff (§3.1.1). For silica on 5.7 Å
+// pair cells that is K = 2: 2.86 Å sub-cells for the 2.6 Å triplets.
+// A model whose cutoffs all exceed half the cell side (LJ, any
+// pair-only model) gets K = 1. Hybrid-MD searches one pair list on the
+// decomposition lattice and always gets K = 1.
+func (s Scheme) subdivision(model *potential.Model, side float64) int {
+	if s == SchemeHybrid {
+		return 1
+	}
+	shortest := model.MaxCutoff()
+	for _, term := range model.Terms {
+		shortest = min(shortest, term.Cutoff())
+	}
+	return max(1, int(side/shortest))
+}
+
 // margins returns the halo margin (in cells) on the low and high side
 // of every axis for a scheme.
 //

@@ -15,7 +15,7 @@ import (
 // Wire sizes in bytes of the three record types.
 const (
 	// HaloAtomWireBytes is one imported halo atom:
-	// id + species + extended cell + local position.
+	// id + species + extended sub-cell + local position.
 	HaloAtomWireBytes = 8 + 4 + 3*4 + 3*8 // 48
 	// MigrantWireBytes is one migrating atom:
 	// id + species + global position + velocity.
@@ -25,7 +25,8 @@ const (
 )
 
 // putHaloAtom appends one halo atom, already shifted into the
-// receiver's frame.
+// receiver's frame. ec is the owner-assigned sub-cell in the
+// receiver's subdivided extended lattice.
 func putHaloAtom(b *comm.Buffer, id int64, sp int32, ec geom.IVec3, lp geom.Vec3) {
 	b.Int64(id)
 	b.Int32(sp)
